@@ -33,7 +33,6 @@ import numpy as np
 
 from .numerics import Rng
 
-MAX_TOKENS = 77
 _LUMA = np.array([0.299, 0.587, 0.114])
 
 
@@ -436,10 +435,6 @@ def tokenize(text: str) -> list:
     return cleaned.split()
 
 
-def truncate(tokens, max_tokens: int = MAX_TOKENS) -> list:
-    return list(tokens)[:max_tokens]
-
-
 def round_half_up(x: float) -> int:
     """round(0.5) = 1, unlike banker's rounding."""
     return int(np.floor(x + 0.5))
@@ -480,11 +475,6 @@ def parse_lexicon(text: str) -> Lexicon:
             raise ValueError(f"lexicon line {lineno}: '{word}' has no usable synonym")
         entries[word] = synonyms
     return Lexicon(entries)
-
-
-def load_lexicon(path) -> Lexicon:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_lexicon(fh.read())
 
 
 def builtin_lexicon() -> Lexicon:
@@ -575,17 +565,6 @@ class IdentityTranslator:
         return list(tokens)
 
 
-class LexiconParaphraser:
-    """Deterministic stand-in for a real round trip through another
-    language: every word with a lexicon entry becomes its first synonym."""
-
-    def __init__(self, lexicon: Lexicon):
-        self.lexicon = lexicon
-
-    def translate(self, tokens) -> list:
-        return [self.lexicon.synonyms(t)[0] if t in self.lexicon else t for t in tokens]
-
-
 def back_translate(tokens, translator, rng: Rng, p: float = 0.1) -> list:
     """With probability p, run the tokens through the translator.
 
@@ -625,7 +604,6 @@ class AugmentConfig:
     text_ops: tuple = ("back_translate", "random_deletion")
     alpha: float = 0.05
     back_translate_p: float = 0.1
-    max_tokens: int = MAX_TOKENS
 
     def __post_init__(self):
         if self.image_mode not in ("pool", "stack", "trivial", "none"):
@@ -659,7 +637,7 @@ def augment_image(img, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
 
 
 def augment_text(tokens, cfg: AugmentConfig, lexicon: Lexicon, translator, rng: Rng) -> list:
-    """Produce one augmented view of a token sequence, truncated at the end."""
+    """Produce one augmented view of a token sequence."""
     out = list(tokens)
     if cfg.text_mode == "eda":
         out = eda(out, lexicon, rng, cfg.alpha)
@@ -677,4 +655,4 @@ def augment_text(tokens, cfg: AugmentConfig, lexicon: Lexicon, translator, rng: 
                 out = random_deletion(out, rng, cfg.alpha)
             elif op == "eda":
                 out = eda(out, lexicon, rng, cfg.alpha)
-    return truncate(out, cfg.max_tokens)
+    return out

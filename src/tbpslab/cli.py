@@ -2,7 +2,8 @@
 
 Subcommands cover the whole workflow: corpus generation, training runs,
 checkpoint evaluation, the three ablation tables, few-shot curves,
-contribution analysis, compression series, and a self-test battery.
+contribution analysis, compression series, the whole study in one
+directory, and a self-test battery.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 runtime failure,
 3 self-test check failure.
@@ -22,10 +23,11 @@ from .config import ConfigError, dump_yaml, fingerprint, materialize, resolve
 from .data import ParseError, load_jsonl, oracle_rank1, save_jsonl
 from .evaluate import evaluate_model
 from .model import load_checkpoint
-from .numerics import Rng
+from .numerics import Rng, check_param_grads
 from .train import NonFiniteLoss
 
 CONFIG_HELP = "layering: defaults < --preset < --config file < --set overrides"
+COMPRESS_XS = (0, 1, 2, 3)  # default budgets of a compression series
 
 
 def _add_config_args(p: argparse.ArgumentParser):
@@ -58,20 +60,6 @@ def _run_dir(config: dict, outdir) -> str:
     return os.path.join(root, f"{stamp}-{fingerprint(config)}")
 
 
-def _write_table(rows, path, config, seed):
-    import csv
-
-    cols = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config={fingerprint(config)} seed={seed}\n")
-        writer = csv.DictWriter(fh, fieldnames=cols)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()}
-            )
-
-
 def _print_table(rows):
     if not rows:
         print("(no rows)")
@@ -86,15 +74,19 @@ def _print_table(rows):
         print("  ".join(v.ljust(w) for v, w in zip(r, widths)))
 
 
+def _write_table(rows, out_dir, name, config, seed):
+    experiments.write_csv(rows, os.path.join(out_dir, f"{name}.csv"), fingerprint(config), seed)
+    _print_table(rows)
+    print(f"wrote {out_dir}/{name}.csv")
+
+
 def _table_command(args, table_fn, name):
     config, exp = _resolve(args)
     out_dir = _run_dir(config, args.outdir)
     rows = table_fn(exp)
     os.makedirs(out_dir, exist_ok=True)
     dump_yaml(config, os.path.join(out_dir, "config.yaml"))
-    _write_table(rows, os.path.join(out_dir, f"{name}.csv"), config, exp.seed)
-    _print_table(rows)
-    print(f"wrote {out_dir}/{name}.csv")
+    _write_table(rows, out_dir, name, config, exp.seed)
     return 0
 
 
@@ -166,6 +158,31 @@ def cmd_compress(args) -> int:
     return _table_command(args, table_fn, f"compress-{args.mode}")
 
 
+def cmd_study(args) -> int:
+    """One training run, then every table with default settings, all on
+    the run's corpus. The contribution table and both compression series
+    score the run itself instead of retraining it."""
+    config, exp = _resolve(args)
+    out_dir = _run_dir(config, args.outdir)
+    run = experiments.run_training(exp, out_dir=os.path.join(out_dir, "run"))
+    dump_yaml(config, os.path.join(out_dir, "config.yaml"))
+    print("\n".join(run.report.lines()))
+    ds = run.dataset
+    scores = experiments.text_layer_scores(run)
+    tables = {
+        "ablate-augmentation": lambda: experiments.ablate_augmentation(exp, ds),
+        "ablate-loss": lambda: experiments.ablate_loss(exp, ds),
+        "ablate-trick": lambda: experiments.ablate_tricks(exp, ds),
+        "fewshot": lambda: experiments.fewshot_curve(exp, dataset=ds),
+        "contribution": lambda: experiments.contribution_table(run),
+        "compress-freeze": lambda: experiments.compression_series(exp, COMPRESS_XS, "freeze", ds, scores),
+        "compress-drop": lambda: experiments.compression_series(exp, COMPRESS_XS, "drop", ds, scores),
+    }
+    for name, table_fn in tables.items():
+        _write_table(table_fn(), out_dir, name, config, exp.seed)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # selftest
 
@@ -173,7 +190,6 @@ def _selftest_checks():
     """Fast deterministic checks: gradients, schedule, metrics, round
     trips, and run reproducibility. The statistical and training-quality
     criteria live in the package's test suite, which runs these too."""
-    import dataclasses
     import tempfile
 
     from .augment import AugmentConfig
@@ -195,34 +211,17 @@ def _selftest_checks():
         lcfg = LossConfig(
             weights={"n_itc": 1.0, "ss_i": 0.4, "mvs_i": 0.5, "r_itc": 0.7, "c_itc": 0.1}
         )
-        value, grads, _ = loss_and_grads(model, batch, lcfg, Rng(14))
+        _, grads, _ = loss_and_grads(model, batch, lcfg, Rng(14))
         coord_rng = Rng(15)
-        step, worst = 1e-5, 0.0
         keys = sorted(grads)
+        coords = []
         for _ in range(60):
             key = keys[int(coord_rng.integers(0, len(keys)))]
-            p = model.params[key]
-            if p.ndim == 0:
-                idx = ()
-            else:
-                idx = tuple(int(coord_rng.integers(0, s)) for s in p.shape)
-            orig = float(p[idx]) if p.ndim else float(p)
-            vals = {}
-            for sign in (1, -1):
-                if p.ndim:
-                    p[idx] = orig + sign * step
-                else:
-                    model.params[key] = np.array(orig + sign * step)
-                v, _, _ = loss_and_grads(model, batch, lcfg, Rng(14))
-                vals[sign] = v
-            if p.ndim:
-                p[idx] = orig
-            else:
-                model.params[key] = np.array(orig)
-            numeric = (vals[1] - vals[-1]) / (2 * step)
-            analytic = grads[key][idx] if p.ndim else float(grads[key])
-            denom = max(abs(analytic), abs(numeric), 1e-4)
-            worst = max(worst, abs(analytic - numeric) / denom)
+            idx = tuple(int(coord_rng.integers(0, s)) for s in model.params[key].shape)
+            coords.append((key, idx))
+        worst = check_param_grads(
+            lambda: loss_and_grads(model, batch, lcfg, Rng(14))[0], model.params, grads, coords
+        )
         assert worst < 1e-4, f"worst relative gradient error {worst:.2e}"
 
     def check_schedule():
@@ -345,8 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     _add_outdir_arg(p)
     p.add_argument("--mode", required=True, choices=("freeze", "drop"))
-    p.add_argument("--xs", default="0,1,2,3", help="comma-separated budgets")
+    p.add_argument("--xs", default=",".join(map(str, COMPRESS_XS)), help="comma-separated budgets")
     p.set_defaults(func=cmd_compress)
+
+    p = sub.add_parser("study", help="one training run plus every table, in one directory")
+    _add_config_args(p)
+    _add_outdir_arg(p)
+    p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("selftest", help="fast built-in correctness checks")
     p.set_defaults(func=cmd_selftest)

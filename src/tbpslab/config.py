@@ -23,11 +23,8 @@ from .augment import AugmentConfig
 from .data import ToySpec
 from .losses import KNOWN_LOSSES, LossConfig
 from .model import ModelConfig
+from .schema import ConfigError, load
 from .train import TrainConfig
-
-
-class ConfigError(ValueError):
-    """Bad configuration: unknown key, wrong type, or invalid value."""
 
 
 DEFAULTS: dict = {
@@ -69,7 +66,6 @@ DEFAULTS: dict = {
         "text_ops": ["back_translate", "random_deletion"],
         "alpha": 0.05,
         "back_translate_p": 0.1,
-        "max_tokens": 77,
     },
     # from-scratch toy training wants a much hotter schedule than the
     # recipe's fine-tuning defaults (those live on Schedule itself)
@@ -234,60 +230,16 @@ def validate(config: dict) -> None:
 
 def materialize(config: dict) -> Experiment:
     try:
-        d = config["data"]
-        data = ToySpec(
-            n_identities=d["n_identities"],
-            images_per_identity=d["images_per_identity"],
-            captions_per_image=d["captions_per_image"],
-            height=d["height"],
-            width=d["width"],
-            split_fractions=tuple(d["split_fractions"]),
-            color_jitter=d["color_jitter"],
-            pixel_noise=d["pixel_noise"],
-            max_shift=d["max_shift"],
+        data = load(ToySpec, config["data"], "data", DEFAULTS["data"])
+        # vocabulary and raster come from the dataset at run time
+        model = load(
+            ModelConfig, config["model"], "model", DEFAULTS["model"],
+            image_height=data.height, image_width=data.width, vocab=(),
         )
-        m = config["model"]
-        model = ModelConfig(
-            embed_dim=m["embed_dim"],
-            hidden_dim=m["hidden_dim"],
-            image_layers=m["image_layers"],
-            text_layers=m["text_layers"],
-            patch_size=m["patch_size"],
-            image_height=d["height"],
-            image_width=d["width"],
-            vocab=(),
-            dropout=m["dropout"],
-            tau_init=m["tau_init"],
-            dropped_text_layers=tuple(m["dropped_text_layers"]),
-        )
-        lo = config["loss"]
-        loss = LossConfig(
-            weights={k: float(v) for k, v in lo["weights"].items()},
-            tau_s=lo["tau_s"],
-            eps=lo["eps"],
-            soft_label=lo["soft_label"],
-            diagonal_labels=lo["diagonal_labels"],
-        )
-        a = config["augment"]
-        augment = AugmentConfig(
-            image_mode=a["image_mode"],
-            pool_k=a["pool_k"],
-            text_mode=a["text_mode"],
-            text_ops=tuple(a["text_ops"]),
-            alpha=a["alpha"],
-            back_translate_p=a["back_translate_p"],
-            max_tokens=a["max_tokens"],
-        )
-        t = config["train"]
-        train = TrainConfig(
-            epochs=t["epochs"],
-            batch_size=t["batch_size"],
-            lr_init=t["lr_init"],
-            lr_peak=t["lr_peak"],
-            lr_final=t["lr_final"],
-            warmup_frac=t["warmup_frac"],
-            weight_decay=t["weight_decay"],
-        )
+        weights = {k: float(v) for k, v in config["loss"]["weights"].items()}
+        loss = load(LossConfig, config["loss"], "loss", DEFAULTS["loss"], weights=weights)
+        augment = load(AugmentConfig, config["augment"], "augment", DEFAULTS["augment"])
+        train = load(TrainConfig, config["train"], "train", DEFAULTS["train"])
         seed = config["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .augment import tokenize
 from .numerics import Rng
+from .schema import load
 
 
 class SpecTooLarge(ValueError):
@@ -290,20 +291,9 @@ def _decode_image(mode: str, blob: str, h: int, w: int) -> np.ndarray:
 
 def save_jsonl(dataset: ToyDataset, path):
     """One JSON object per line: a header, then every sample."""
-    spec = dataset.spec
     header = {
         "kind": "toy-dataset",
-        "spec": {
-            "n_identities": spec.n_identities,
-            "images_per_identity": spec.images_per_identity,
-            "captions_per_image": spec.captions_per_image,
-            "height": spec.height,
-            "width": spec.width,
-            "split_fractions": list(spec.split_fractions),
-            "color_jitter": spec.color_jitter,
-            "pixel_noise": spec.pixel_noise,
-            "max_shift": spec.max_shift,
-        },
+        "spec": asdict(dataset.spec),
         "attrs": {
             str(i): [a.shirt_color, a.pants_color, a.accessory]
             for i, a in sorted(dataset.attrs.items())
@@ -344,18 +334,7 @@ def load_jsonl(path) -> ToyDataset:
             raise MissingField(f"line 1: header missing '{key}'")
     if header["kind"] != "toy-dataset":
         raise ParseError(f"line 1: unknown kind '{header['kind']}'")
-    sp = header["spec"]
-    spec = ToySpec(
-        n_identities=sp["n_identities"],
-        images_per_identity=sp["images_per_identity"],
-        captions_per_image=sp["captions_per_image"],
-        height=sp["height"],
-        width=sp["width"],
-        split_fractions=tuple(sp["split_fractions"]),
-        color_jitter=sp["color_jitter"],
-        pixel_noise=sp["pixel_noise"],
-        max_shift=sp["max_shift"],
-    )
+    spec = load(ToySpec, header["spec"], "data")
     attrs = {
         int(i): IdentityAttrs(shirt_color=v[0], pants_color=v[1], accessory=v[2])
         for i, v in header["attrs"].items()

@@ -28,6 +28,7 @@ from .numerics import Rng
 from .train import fit
 
 TEXT_MODULES = "txt.hidden"  # compression candidates live in the text tower
+HISTORY_COLUMNS = ("step", "epoch", "lr", "loss", "tau")  # then per-term losses, sorted
 
 
 @dataclass
@@ -93,16 +94,18 @@ def run_training(exp: Experiment, dataset: ToyDataset | None = None, out_dir=Non
     return result
 
 
-def _write_history_csv(history, path, fp, seed):
-    cols = ["step", "epoch", "lr", "loss", "tau"]
-    extras = sorted({k for row in history for k in row} - set(cols))
-    cols += extras
+def write_csv(rows, path, fp, seed, columns=None):
+    """One table or history file: a `# config=... seed=...` line, a header,
+    then one row per dict. Floats are written with repr, so they round-trip
+    exactly. Columns default to the first row's keys, in order."""
+    if columns is None:
+        columns = list(rows[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config={fp} seed={seed}\n")
-        writer = csv.DictWriter(fh, fieldnames=cols)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in history:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+        for row in rows:
+            writer.writerow({k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()})
 
 
 def _atomic_json(payload: dict, path):
@@ -123,7 +126,11 @@ def _write_run_artifacts(result: RunResult, out_dir, elapsed: float):
     config_mod.dump_yaml(exp.raw, join("config.yaml"))
     save_checkpoint(result.model_init, join("init.ckpt"))
     save_checkpoint(result.model, join("final.ckpt"))
-    _write_history_csv(result.history, join("history.csv"), result.fingerprint, exp.seed)
+    extras = sorted({k for row in result.history for k in row} - set(HISTORY_COLUMNS))
+    write_csv(
+        result.history, join("history.csv"), result.fingerprint, exp.seed,
+        columns=[*HISTORY_COLUMNS, *extras],
+    )
     with open(join("report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(result.report.lines()) + "\n")
     _atomic_json(
@@ -205,13 +212,8 @@ def ablate_loss(exp: Experiment, dataset=None) -> list:
 
 
 def ablate_tricks(exp: Experiment, dataset=None) -> list:
-    # single-process training always computes the similarity matrix over the
-    # whole batch, which is exactly what gradient gathering across devices
-    # achieves at scale; the row exists to make that explicit, so it is a
-    # rerun of the baseline by construction
     rows = [
         ("baseline", dict(_TRICKS_OFF)),
-        ("+batch-wide-sims", dict(_TRICKS_OFF)),
         ("+dropout", merge(_TRICKS_OFF, {"model": {"dropout": 0.05}})),
         ("+lock-patch-proj", merge(_TRICKS_OFF, {"freeze_modules": ["img.patch"]})),
         ("+soft-label", merge(_TRICKS_OFF, {"loss": {"soft_label": True}})),
@@ -241,49 +243,30 @@ def fewshot_curve(exp: Experiment, fractions=(0.1, 0.25, 0.5, 1.0), dataset=None
 # contribution and compression
 
 
-def _candidate_modules(model: Model) -> list:
-    return [m for m in model.module_names() if m != "log_tau"]
-
-
-def contribution_table(run: RunResult, eps: float = 0.03) -> list:
+def contribution_table(run: RunResult, eps: float = 0.03, modules=None) -> list:
     """Per-module reset damage and interpolation steepness, evaluated on
-    the validation identities."""
+    the validation identities. C1 is normalized over `modules`, by default
+    every module but the temperature."""
 
     def metric(model):
         return evaluate_model(model, run.dataset.val).rank1
 
-    modules = _candidate_modules(run.model)
+    if modules is None:
+        modules = [m for m in run.model.module_names() if m != "log_tau"]
     base = metric(run.model)
     c1 = c1_scores(run.model_init, run.model, modules, metric)
-    rows = []
-    c2 = {}
-    for m in modules:
-        c2[m] = c2_score(run.model_init, run.model, m, metric, eps=eps, baseline=base)
+    c2 = {m: c2_score(run.model_init, run.model, m, metric, eps=eps, baseline=base) for m in modules}
     both = combined_scores(c1.scores, c2)
-    for m in modules:
-        rows.append(
-            {
-                "module": m,
-                "delta": c1.deltas[m],
-                "c1": c1.scores[m],
-                "c2": c2[m],
-                "combined": both[m],
-            }
-        )
-    return rows
+    return [
+        {"module": m, "delta": c1.deltas[m], "c1": c1.scores[m], "c2": c2[m], "combined": both[m]}
+        for m in modules
+    ]
 
 
 def text_layer_scores(run: RunResult, eps: float = 0.03) -> dict:
     """Combined contribution scores for the text tower's hidden layers."""
-
-    def metric(model):
-        return evaluate_model(model, run.dataset.val).rank1
-
     modules = [m for m in run.model.module_names() if m.startswith(TEXT_MODULES)]
-    base = metric(run.model)
-    c1 = c1_scores(run.model_init, run.model, modules, metric)
-    c2 = {m: c2_score(run.model_init, run.model, m, metric, eps=eps, baseline=base) for m in modules}
-    return combined_scores(c1.scores, c2)
+    return {row["module"]: row["combined"] for row in contribution_table(run, eps, modules)}
 
 
 def compression_series(exp: Experiment, xs, mode: str, dataset=None, scores=None) -> list:

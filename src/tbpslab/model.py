@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .numerics import Rng, ShapeMismatch, l2_normalize_rows, l2_normalize_rows_backward
+from .schema import load
 
 CHECKPOINT_MAGIC = b"TTLAB001"
 MIN_TAU = 0.01
+MAX_TEXT_TOKENS = 77  # the one truncation point for captions
 UNK_ID = 0
 
 
@@ -279,9 +281,9 @@ def backward_image(model: Model, cache: ImageCache, grad_embed: np.ndarray, grad
 def encode_text(model: Model, token_lists, train: bool = False, rng: Rng | None = None) -> tuple:
     """Encode a batch of token sequences; returns (embeddings, cache).
 
-    Sequences are capped at 77 tokens. In train mode with a nonzero
-    dropout rate an Rng must be supplied; inverted dropout masks the tanh
-    activations of each kept hidden layer.
+    Sequences are capped at MAX_TEXT_TOKENS tokens. In train mode with a
+    nonzero dropout rate an Rng must be supplied; inverted dropout masks the
+    tanh activations of each kept hidden layer.
     """
     cfg = model.config
     p = model.params
@@ -289,7 +291,7 @@ def encode_text(model: Model, token_lists, train: bool = False, rng: Rng | None 
     if rate > 0 and rng is None:
         raise ValueError("train-mode dropout needs an rng")
 
-    capped = [list(t)[:77] for t in token_lists]
+    capped = [list(t)[:MAX_TEXT_TOKENS] for t in token_lists]
     lengths = np.array([len(t) for t in capped], dtype=np.int64)
     if (lengths == 0).any():
         raise ValueError("cannot encode an empty token sequence")
@@ -356,38 +358,6 @@ def _acc(grads: dict, key: str, value: np.ndarray):
 # checkpoint io
 
 
-def _config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "embed_dim": config.embed_dim,
-        "hidden_dim": config.hidden_dim,
-        "image_layers": config.image_layers,
-        "text_layers": config.text_layers,
-        "patch_size": config.patch_size,
-        "image_height": config.image_height,
-        "image_width": config.image_width,
-        "vocab": list(config.vocab),
-        "dropout": config.dropout,
-        "tau_init": config.tau_init,
-        "dropped_text_layers": list(config.dropped_text_layers),
-    }
-
-
-def _config_from_dict(d: dict) -> ModelConfig:
-    return ModelConfig(
-        embed_dim=d["embed_dim"],
-        hidden_dim=d["hidden_dim"],
-        image_layers=d["image_layers"],
-        text_layers=d["text_layers"],
-        patch_size=d["patch_size"],
-        image_height=d["image_height"],
-        image_width=d["image_width"],
-        vocab=tuple(d["vocab"]),
-        dropout=d["dropout"],
-        tau_init=d["tau_init"],
-        dropped_text_layers=tuple(d["dropped_text_layers"]),
-    )
-
-
 def save_checkpoint(model: Model, path):
     """Versioned binary key->tensor map; bit-exact and byte-deterministic.
 
@@ -399,7 +369,7 @@ def save_checkpoint(model: Model, path):
     keys = sorted(model.params)
     header = {
         "version": 1,
-        "config": _config_to_dict(model.config),
+        "config": asdict(model.config),
         "frozen": sorted(model.frozen),
         "tensors": [{"key": k, "shape": list(model.params[k].shape)} for k in keys],
     }
@@ -429,7 +399,7 @@ def load_checkpoint(path) -> Model:
             arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
             params[spec["key"]] = arr.copy()
     return Model(
-        config=_config_from_dict(header["config"]),
+        config=load(ModelConfig, header["config"], "model"),
         params=params,
         frozen=set(header["frozen"]),
     )

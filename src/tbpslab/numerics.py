@@ -1,10 +1,12 @@
-"""Shared numeric kernel: normalization, similarity, row softmax, row KL, RNG.
+"""Shared numeric kernel: row normalization, row softmax, RNG, and the
+finite-difference oracle.
 
 Everything downstream (losses, encoders, metrics) goes through these few
 functions, so their contracts are deliberately strict: inputs must be finite,
 shapes must agree, and every stochastic draw flows through a counter-based
 splittable `Rng` so that any run can be replayed bit-for-bit from
-(seed, stream) alone.
+(seed, stream) alone. Hand-written gradients are held against
+`central_diff` / `check_param_grads`.
 """
 
 from __future__ import annotations
@@ -15,14 +17,11 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _NORM_FLOOR = 1e-12
+FD_STEP = 1e-5
 
 
 class ZeroVector(ValueError):
     """Normalization was asked for a vector with (near-)zero norm."""
-
-
-class DimMismatch(ValueError):
-    """Embedding dimensions of two operands disagree."""
 
 
 class ShapeMismatch(ValueError):
@@ -40,21 +39,6 @@ def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: contains NaN or Inf")
     return arr
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Return v / ||v||_2 for a single vector.
-
-    Raises
-    ------
-    ZeroVector
-        If the norm is below 1e-12, where the direction is meaningless.
-    """
-    vec = _as_float_array(v, "v", 1)
-    norm = float(np.linalg.norm(vec))
-    if norm < _NORM_FLOOR:
-        raise ZeroVector(f"cannot normalize vector with norm {norm:.3e}")
-    return vec / norm
 
 
 def l2_normalize_rows(m) -> np.ndarray:
@@ -88,18 +72,6 @@ def l2_normalize_rows_backward(raw, grad_out) -> np.ndarray:
     return (g - z * dot) / norms
 
 
-def sim_matrix(a, b) -> np.ndarray:
-    """Pairwise dot products: S[i, j] = a[i] . b[j].
-
-    For row-normalized inputs this is the cosine similarity matrix.
-    """
-    am = _as_float_array(a, "a", 2)
-    bm = _as_float_array(b, "b", 2)
-    if am.shape[1] != bm.shape[1]:
-        raise DimMismatch(f"a has dim {am.shape[1]}, b has dim {bm.shape[1]}")
-    return am @ bm.T
-
-
 def softmax_rows(m, tau: float = 1.0) -> np.ndarray:
     """Row-wise softmax of m / tau, stabilized by row-max subtraction."""
     if not (tau > 0):
@@ -120,21 +92,52 @@ def log_softmax_rows(m, tau: float = 1.0) -> np.ndarray:
     return mat - lse
 
 
-def kl_rows(p, q, eps: float = 1e-8) -> float:
-    """Mean over rows of KL(p_row || q_row + eps).
+def _fd(a: np.ndarray, idx, fn, step: float) -> float:
+    """Central difference of fn() in coordinate idx of a; a is perturbed in
+    place (a 0-d array through idx = ()) and restored."""
+    orig = a[idx]
+    a[idx] = orig + step
+    hi = fn()
+    a[idx] = orig - step
+    lo = fn()
+    a[idx] = orig
+    return (hi - lo) / (2 * step)
 
-    q gets the eps floor inside the log so that zero entries of q stay
-    finite; p rows are taken as-is (p log p with p = 0 contributes 0).
+
+def central_diff(fn, x, step: float = FD_STEP) -> np.ndarray:
+    """Central finite differences of scalar fn at x, elementwise."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        grad[idx] = _fd(x, idx, lambda: fn(x), step)
+    return grad
+
+
+def max_rel_error(analytic, numeric, floor: float = 1e-4) -> float:
+    """Largest elementwise relative error, with a floor on the denominator
+    so that entries whose true gradient is ~0 are judged on absolute error."""
+    a = np.asarray(analytic, dtype=np.float64)
+    f = np.asarray(numeric, dtype=np.float64)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
+    return float((np.abs(a - f) / denom).max())
+
+
+def check_param_grads(loss_fn, params: dict, grads: dict, coords=None, step: float = FD_STEP) -> float:
+    """Worst relative error of analytic `grads` against central differences
+    of `loss_fn()`, which reads the tensors in `params`.
+
+    `coords` is an iterable of (key, index) pairs, by default every
+    coordinate of every tensor in key order. A key missing from `grads` has
+    analytic gradient zero (an inert, dropped layer).
     """
-    pm = _as_float_array(p, "p", 2)
-    qm = _as_float_array(q, "q", 2)
-    if pm.shape != qm.shape:
-        raise ShapeMismatch(f"p {pm.shape} vs q {qm.shape}")
-    if (pm < 0).any():
-        raise ValueError("p has negative entries")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(pm > 0, pm * (np.log(np.maximum(pm, 1e-300)) - np.log(qm + eps)), 0.0)
-    return float(terms.sum(axis=1).mean())
+    if coords is None:
+        coords = [(k, idx) for k in sorted(params) for idx in np.ndindex(params[k].shape)]
+    worst = 0.0
+    for key, idx in coords:
+        numeric = _fd(params[key], idx, loss_fn, step)
+        analytic = grads[key][idx] if key in grads else 0.0
+        worst = max(worst, max_rel_error(analytic, numeric))
+    return worst
 
 
 def _splitmix64(x: int) -> int:

@@ -147,7 +147,7 @@ def assemble_batch(
         images.append(s.image)
         images_aug.append(augment_image(s.image, aug_cfg, child.named("image")))
         toks = tokenize(s.caption)
-        tokens.append(toks[: aug_cfg.max_tokens])
+        tokens.append(toks)
         tokens_aug.append(augment_text(toks, aug_cfg, lexicon, translator, child.named("text")))
         ids.append(s.identity)
     return Batch(

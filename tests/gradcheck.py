@@ -10,35 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tbpslab.numerics import l2_normalize_rows, l2_normalize_rows_backward
-
-FD_STEP = 1e-5
-
-
-def central_diff(fn, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central finite differences of scalar fn at x, elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    out = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = fn(x)
-        flat[i] = orig - step
-        lo = fn(x)
-        flat[i] = orig
-        out[i] = (hi - lo) / (2 * step)
-    return grad
-
-
-def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-4) -> float:
-    """Largest elementwise relative error, with a floor on the denominator
-    so that entries whose true gradient is ~0 are judged on absolute error."""
-    a = np.asarray(analytic, dtype=np.float64)
-    f = np.asarray(numeric, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
-    return float((np.abs(a - f) / denom).max())
+from tbpslab.numerics import central_diff, l2_normalize_rows, l2_normalize_rows_backward, max_rel_error
 
 
 def check_against_raw(loss_on_normalized, raw_mats: dict, log_tau: float | None = None):
@@ -73,11 +45,6 @@ def check_against_raw(loss_on_normalized, raw_mats: dict, log_tau: float | None 
         worst = max(worst, max_rel_error(analytic, numeric))
 
     if log_tau is not None:
-        span = FD_STEP
-
-        def fn_tau(lt):
-            return value_at(raw_mats, lt)
-
-        numeric_lt = (fn_tau(log_tau + span) - fn_tau(log_tau - span)) / (2 * span)
-        worst = max(worst, max_rel_error(np.array([grad_log_tau]), np.array([numeric_lt])))
+        numeric_lt = central_diff(lambda lt: value_at(raw_mats, float(lt)), np.array(log_tau))
+        worst = max(worst, max_rel_error(grad_log_tau, numeric_lt))
     return worst

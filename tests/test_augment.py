@@ -9,7 +9,6 @@ from tbpslab.augment import (
     BadParam,
     EmptyPool,
     IdentityTranslator,
-    LexiconParaphraser,
     PoolTooSmall,
     PRODUCTION_IMAGE_POOL,
     PRODUCTION_POLICIES,
@@ -41,8 +40,8 @@ from tbpslab.augment import (
     synonym_replacement,
     tokenize,
     trivial_select,
-    truncate,
 )
+from tbpslab.model import ModelConfig, encode_text, init_model
 from tbpslab.numerics import Rng
 
 H, W = 48, 24
@@ -248,7 +247,16 @@ class TestTokenize:
         assert tokenize("A man, wearing RED-shirt!") == ["a", "man", "wearing", "red", "shirt"]
 
     def test_truncate(self):
-        assert len(truncate(["t"] * 100)) == 77
+        # tokenize does not cap length; encode_text keeps the first 77 tokens
+        tokens = tokenize(" ".join(["red"] * 100))
+        assert len(tokens) == 100
+        cfg = ModelConfig(embed_dim=4, hidden_dim=5, image_layers=1, text_layers=1,
+                          patch_size=4, image_height=8, image_width=8, vocab=("red",))
+        m = init_model(cfg, Rng(3))
+        za, cache = encode_text(m, [tokens])
+        zb, _ = encode_text(m, [tokens[:77]])
+        assert cache.lengths[0] == 77
+        assert np.array_equal(za, zb)
 
     def test_round_half_up(self):
         assert round_half_up(0.5) == 1
@@ -331,7 +339,11 @@ class TestTextOps:
         assert back_translate(tokens, IdentityTranslator(), Rng(1), p=1.0) == tokens
 
     def test_back_translate_paraphrase(self):
-        out = back_translate(["red", "shirt", "xyz"], LexiconParaphraser(self.lex), Rng(1), p=1.0)
+        class Paraphrase:
+            def translate(self, tokens):
+                return [{"red": "crimson", "shirt": "top"}.get(t, t) for t in tokens]
+
+        out = back_translate(["red", "shirt", "xyz"], Paraphrase(), Rng(1), p=1.0)
         assert out == ["crimson", "top", "xyz"]
 
     def test_back_translate_failure_falls_back(self):
@@ -357,12 +369,6 @@ class TestPipelines:
     def test_image_none_is_identity(self, rng):
         img = toy_image(rng)
         assert np.array_equal(augment_image(img, AugmentConfig(image_mode="none"), Rng(1)), img)
-
-    def test_text_stack_truncates(self):
-        cfg = AugmentConfig()
-        tokens = ["red"] * 100
-        out = augment_text(tokens, cfg, builtin_lexicon(), IdentityTranslator(), Rng(8))
-        assert len(out) <= 77
 
     def test_text_none_is_identity_upto_truncation(self):
         cfg = AugmentConfig(text_mode="none")

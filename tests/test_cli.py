@@ -109,6 +109,26 @@ class TestTables:
         assert len(lines) == 2 + 10  # one row per module
 
 
+class TestStudy:
+    def test_study_writes_run_and_every_table(self, tmp_path):
+        out = tmp_path / "study"
+        assert main(["study", *MICRO, "--outdir", str(out)]) == 0
+        tables = [
+            "ablate-augmentation", "ablate-loss", "ablate-trick", "fewshot",
+            "contribution", "compress-freeze", "compress-drop",
+        ]
+        assert run_files(out) == sorted(["config.yaml", "run", *(f"{t}.csv" for t in tables)])
+        assert {"final.ckpt", "history.csv", "report.txt"} <= set(run_files(out / "run"))
+        stamp = (out / "run" / "history.csv").read_text().splitlines()[0]
+        assert stamp.startswith("# config=") and stamp.endswith(" seed=0")
+        for name in tables:
+            lines = (out / f"{name}.csv").read_text().splitlines()
+            assert lines[0] == stamp, name
+            assert len(lines) > 2, name
+        trick_rows = [ln.split(",")[0] for ln in (out / "ablate-trick.csv").read_text().splitlines()[2:]]
+        assert trick_rows == ["baseline", "+dropout", "+lock-patch-proj", "+soft-label", "all-tricks"]
+
+
 class TestExitCodes:
     def test_unknown_key_is_config_error(self, capsys):
         assert main(["train", "--set", "bogus.key=1"]) == 1

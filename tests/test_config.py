@@ -1,4 +1,7 @@
-"""Configuration layering, override parsing, and materialization."""
+"""Configuration layering, override parsing, materialization, and the
+dataclass-derived schema shared with the checkpoint and corpus headers."""
+
+from dataclasses import asdict
 
 import pytest
 
@@ -13,7 +16,11 @@ from tbpslab.config import (
     merge,
     resolve,
 )
+from tbpslab.data import ToySpec, generate_toy, load_jsonl, save_jsonl
 from tbpslab.losses import KNOWN_LOSSES
+from tbpslab.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from tbpslab.numerics import Rng
+from tbpslab.schema import load
 
 
 class TestLayering:
@@ -166,6 +173,52 @@ class TestMaterialize:
         del config["train"]["epochs"]
         with pytest.raises(ConfigError, match="epochs"):
             materialize(config)
+
+
+def _as_lists(d: dict) -> dict:
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
+
+
+class TestSchema:
+    def test_every_defaults_section_round_trips(self):
+        exp = materialize(resolve())
+        for section, defaults in DEFAULTS.items():
+            if not isinstance(defaults, dict):
+                continue
+            obj = getattr(exp, section)
+            written = _as_lists(asdict(obj))
+            assert {k: written[k] for k in defaults} == defaults, section
+            assert load(type(obj), asdict(obj), section) == obj, section
+
+    def test_model_config_survives_checkpoint_header(self, tmp_path):
+        cfg = ModelConfig(
+            embed_dim=4, hidden_dim=6, text_layers=3, patch_size=8,
+            vocab=("blue", "red", "shirt"), dropout=0.1, tau_init=0.05,
+            dropped_text_layers=(0, 2),
+        )
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(cfg, Rng(1)), path)
+        assert load_checkpoint(path).config == cfg
+
+    def test_toy_spec_survives_corpus_header(self, tmp_path):
+        spec = ToySpec(
+            n_identities=5, images_per_identity=1, captions_per_image=3,
+            height=56, width=32, split_fractions=(0.6, 0.2, 0.2),
+            color_jitter=0, pixel_noise=7, max_shift=0,
+        )
+        path = tmp_path / "d.jsonl"
+        save_jsonl(generate_toy(spec, Rng(2)), path)
+        assert load_jsonl(path).spec == spec
+
+    def test_missing_header_key_is_config_error(self):
+        header = asdict(ModelConfig())
+        del header["vocab"]
+        with pytest.raises(ConfigError, match="model.vocab"):
+            load(ModelConfig, header, "model")
+
+    def test_raster_is_filled_from_the_data_section(self):
+        exp = materialize(resolve(overrides=["data.height=56", "data.width=32"]))
+        assert (exp.model.image_height, exp.model.image_width) == (56, 32)
 
 
 class TestFingerprint:

@@ -4,8 +4,10 @@ differences through both towers, freezing, layer drops, and checkpoint io."""
 import numpy as np
 import pytest
 
+from tbpslab.augment import AugmentConfig, IdentityTranslator, augment_text, builtin_lexicon
 from tbpslab.losses import build_labels, n_itc
 from tbpslab.model import (
+    MAX_TEXT_TOKENS,
     BadLayerId,
     BadModule,
     Model,
@@ -23,7 +25,7 @@ from tbpslab.model import (
     save_checkpoint,
     with_dropped_text_layers,
 )
-from tbpslab.numerics import Rng, ShapeMismatch
+from tbpslab.numerics import Rng, ShapeMismatch, check_param_grads
 
 VOCAB = ("red", "blue", "shirt", "pants", "hat", "person")
 
@@ -140,10 +142,20 @@ class TestForward:
 
     def test_sequences_capped_at_77(self, rng):
         m = init_model(SMALL, Rng(11))
-        long = ["red"] * 200
-        za, cache = encode_text(m, [long])
-        assert cache.lengths[0] == 77
-        zb, _ = encode_text(m, [["red"] * 77])
+        assert MAX_TEXT_TOKENS == 77
+        for long in (["red"] * 200, [VOCAB[i % len(VOCAB)] for i in range(100)]):
+            za, cache = encode_text(m, [long])
+            assert cache.lengths[0] == 77
+            zb, _ = encode_text(m, [long[:77]])
+            assert np.array_equal(za, zb)
+
+    def test_augmented_long_caption_capped_at_encode(self):
+        # augmentation does not truncate; the encoder is the one cap
+        m = init_model(SMALL, Rng(11))
+        view = augment_text(["red"] * 100, AugmentConfig(), builtin_lexicon(), IdentityTranslator(), Rng(8))
+        za, cache = encode_text(m, [view])
+        zb, _ = encode_text(m, [view[:77]])
+        assert len(view) > 77 and cache.lengths[0] == 77
         assert np.array_equal(za, zb)
 
     def test_empty_sequence_rejected(self):
@@ -198,37 +210,11 @@ class TestBackward:
         value, grads = self.loss_and_grads(model, images, tokens, ids, train, drop_seed)
         assert np.isfinite(value)
 
-        step = 1e-5
-        worst = 0.0
-        for key in sorted(model.params):
-            p = model.params[key]
-            it = np.nditer(np.asarray(p), flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = p[idx] if p.ndim else p.item()
-                for sign, store in ((1, "hi"), (-1, "lo")):
-                    if p.ndim:
-                        p[idx] = orig + sign * step
-                    else:
-                        model.params[key] = np.array(orig + sign * step)
-                    v, _ = self.loss_and_grads(model, images, tokens, ids, train, drop_seed)
-                    if store == "hi":
-                        hi = v
-                    else:
-                        lo = v
-                if p.ndim:
-                    p[idx] = orig
-                else:
-                    model.params[key] = np.array(orig)
-                p = model.params[key]
-                numeric = (hi - lo) / (2 * step)
-                if key not in grads:  # dropped layers are inert: zero gradient
-                    analytic = 0.0
-                else:
-                    analytic = grads[key][idx] if p.ndim else float(grads[key])
-                denom = max(abs(analytic), abs(numeric), 1e-4)
-                worst = max(worst, abs(analytic - numeric) / denom)
-        return worst
+        def loss():
+            return self.loss_and_grads(model, images, tokens, ids, train, drop_seed)[0]
+
+        # dropped layers are inert: no gradient entry, held to zero
+        return check_param_grads(loss, model.params, grads)
 
     def test_fd_eval_mode(self):
         assert self.fd_check() < 1e-4

@@ -1,4 +1,4 @@
-"""Numeric kernel: normalization, similarity, softmax, KL, splittable RNG."""
+"""Numeric kernel: normalization, softmax, splittable RNG, finite-difference oracle."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbpslab.numerics import (
-    DimMismatch,
     NonPositiveTemperature,
     Rng,
-    ShapeMismatch,
     ZeroVector,
-    kl_rows,
-    l2_normalize,
+    central_diff,
+    check_param_grads,
     l2_normalize_rows,
     l2_normalize_rows_backward,
     log_softmax_rows,
-    sim_matrix,
+    max_rel_error,
     softmax_rows,
 )
 
@@ -35,13 +33,13 @@ def matrices(min_rows=1, max_rows=8, min_cols=1, max_cols=8):
 
 class TestNormalize:
     def test_unit_norm(self):
-        v = l2_normalize([3.0, 4.0])
-        assert np.allclose(v, [0.6, 0.8])
+        v = l2_normalize_rows(np.array([[3.0, 4.0]]))
+        assert np.allclose(v, [[0.6, 0.8]])
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
-            l2_normalize([0.0, 0.0, 0.0])
+            l2_normalize_rows(np.array([[0.0, 0.0, 0.0]]))
         with pytest.raises(ZeroVector):
             l2_normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
@@ -52,7 +50,7 @@ class TestNormalize:
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            l2_normalize([np.nan, 1.0])
+            l2_normalize_rows(np.array([[np.nan, 1.0]]))
 
     def test_backward_matches_finite_differences(self, rng):
         raw = rng.normal(size=(4, 3))
@@ -62,34 +60,8 @@ class TestNormalize:
             return float(np.sum(l2_normalize_rows(x) * g))
 
         analytic = l2_normalize_rows_backward(raw, g)
-        step = 1e-6
-        numeric = np.zeros_like(raw)
-        for i in range(raw.shape[0]):
-            for j in range(raw.shape[1]):
-                delta = np.zeros_like(raw)
-                delta[i, j] = step
-                numeric[i, j] = (scalar(raw + delta) - scalar(raw - delta)) / (2 * step)
+        numeric = central_diff(scalar, raw.copy(), step=1e-6)
         assert np.abs(analytic - numeric).max() < 1e-7
-
-
-class TestSimMatrix:
-    def test_brute_force(self, rng):
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(5, 4))
-        s = sim_matrix(a, b)
-        for i in range(3):
-            for j in range(5):
-                assert abs(s[i, j] - float(np.dot(a[i], b[j]))) < 1e-12
-
-    @given(matrices(min_cols=2, max_cols=6), st.integers(0, 2**32))
-    @settings(max_examples=40, deadline=None)
-    def test_transpose_symmetry(self, a, seed):
-        b = Rng(seed).normal(size=(4, a.shape[1]))
-        assert np.abs(sim_matrix(a, b) - sim_matrix(b, a).T).max() < 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            sim_matrix(np.ones((2, 3)), np.ones((2, 4)))
 
 
 class TestSoftmax:
@@ -131,34 +103,32 @@ class TestSoftmax:
                 log_softmax_rows(np.ones((2, 2)), tau)
 
 
-class TestKl:
-    def test_scalar_loop_oracle(self, rng):
-        p = softmax_rows(rng.normal(size=(5, 7)), 1.0)
-        q = softmax_rows(rng.normal(size=(5, 7)), 1.0)
-        eps = 1e-8
-        total = 0.0
-        for i in range(5):
-            row = 0.0
-            for j in range(7):
-                row += p[i, j] * (np.log(p[i, j]) - np.log(q[i, j] + eps))
-            total += row
-        assert abs(kl_rows(p, q, eps) - total / 5) < 1e-12
+class TestFiniteDifferences:
+    def test_central_diff_of_quadratic(self, rng):
+        x = rng.normal(size=(3, 2))
+        numeric = central_diff(lambda v: float(np.sum(v**3)), x.copy())
+        assert np.abs(numeric - 3 * x**2).max() < 1e-8
 
-    @given(st.integers(0, 2**32), st.integers(1, 8), st.integers(1, 8))
-    @settings(max_examples=40, deadline=None)
-    def test_self_divergence_small(self, seed, n, m):
-        p = softmax_rows(Rng(seed).normal(size=(n, m)), 1.0)
-        eps = 1e-8
-        assert abs(kl_rows(p, p, eps)) <= eps * m
+    def test_max_rel_error_floors_the_denominator(self):
+        assert max_rel_error(np.array([2.0, 0.0]), np.array([1.0, 1e-6])) == 0.5
+        assert max_rel_error(0.0, 1e-6) == pytest.approx(1e-2)
 
-    def test_zero_entries_finite(self):
-        p = np.array([[1.0, 0.0], [0.5, 0.5]])
-        q = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.isfinite(kl_rows(p, q, 1e-8))
+    def test_param_checker_restores_and_covers_scalars(self, rng):
+        params = {"w": rng.normal(size=(2, 3)), "log_tau": np.array(0.3)}
+        before = {k: v.copy() for k, v in params.items()}
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            kl_rows(np.ones((2, 2)) / 2, np.ones((2, 3)) / 3)
+        def loss():
+            return float(np.sum(params["w"] ** 2) * np.exp(params["log_tau"]))
+
+        scale = np.exp(0.3)
+        good = {"w": 2 * params["w"] * scale, "log_tau": np.array(np.sum(params["w"] ** 2) * scale)}
+        assert check_param_grads(loss, params, good) < 1e-6
+        assert all(np.array_equal(params[k], before[k]) for k in params)
+        bad = dict(good, log_tau=np.array(0.0))
+        assert check_param_grads(loss, params, bad) > 0.5
+        assert check_param_grads(loss, params, bad, coords=[("w", (1, 2))]) < 1e-6
+        # a key with no analytic gradient is held to zero
+        assert check_param_grads(loss, params, {"w": good["w"]}) > 0.5
 
 
 class TestRng:

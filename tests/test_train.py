@@ -17,7 +17,7 @@ from tbpslab.model import (
     init_model,
     parameter_count,
 )
-from tbpslab.numerics import Rng
+from tbpslab.numerics import Rng, check_param_grads
 from tbpslab.train import (
     AdamW,
     Batch,
@@ -230,32 +230,10 @@ class TestStepGradients:
         value, grads, terms = loss_and_grads(model, batch, FULL_STACK, step_rng)
         assert set(terms) == set(FULL_STACK.weights)
 
-        step = 1e-5
-        worst = 0.0
-        for key in sorted(model.params):
-            p = model.params[key]
-            it = np.nditer(np.asarray(p), flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = p[idx] if p.ndim else p.item()
-                vals = {}
-                for sign in (1, -1):
-                    if p.ndim:
-                        p[idx] = orig + sign * step
-                    else:
-                        model.params[key] = np.array(orig + sign * step)
-                    v, _, _ = loss_and_grads(model, batch, FULL_STACK, Rng(77))
-                    vals[sign] = v
-                if p.ndim:
-                    p[idx] = orig
-                else:
-                    model.params[key] = np.array(orig)
-                p = model.params[key]
-                numeric = (vals[1] - vals[-1]) / (2 * step)
-                analytic = grads[key][idx] if p.ndim else float(grads[key])
-                denom = max(abs(analytic), abs(numeric), 1e-4)
-                worst = max(worst, abs(analytic - numeric) / denom)
-        assert worst < 1e-4
+        def loss():
+            return loss_and_grads(model, batch, FULL_STACK, Rng(77))[0]
+
+        assert check_param_grads(loss, model.params, grads) < 1e-4
 
     def test_soft_label_and_diagonal_paths_run(self):
         model, samples = small_setup()
