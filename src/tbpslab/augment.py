@@ -1,8 +1,20 @@
 """Image and text augmentation policies.
 
-Images are (H, W, 3) float64 arrays in [0, 1]; text is a list of lowercase
-tokens. Every op takes an explicit `Rng` and is a pure function of
-(input, params, rng state), so augmentation is bit-reproducible.
+Images are (H, W, 3) float64 arrays in [0, 1], batched as (B, H, W, 3)
+stacks; text is a list of lowercase tokens. Every op takes an explicit
+`Rng` and is a pure function of (input, params, rng state), so
+augmentation is bit-reproducible.
+
+Each image op is split in two steps. Its *draw* step reads one sample's
+stream and returns that sample's parameters (geometry, factors, order,
+angle, kernel or noise); its *apply* step is pure pixel work over a stack,
+one parameter entry per image. The public single-image functions are
+draw + apply on a stack of one, so every op has one pixel implementation.
+`augment_image` gives each sample its own stream and reads it in the
+order a lone image would: the pool or trivial selection, then per stage
+the gate and the op's draws. The views therefore do not depend on the
+batch a sample is in, and the draw order is part of the contract: moving
+a draw changes every augmented view.
 
 Image policy catalog (production defaults in PRODUCTION_POLICIES; the
 production pool keeps only the policies that help at retrieval time, while
@@ -28,6 +40,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,38 +69,58 @@ class TranslatorFailure(RuntimeError):
 # image helpers
 
 
-def _check_image(img) -> np.ndarray:
-    arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise BadParam(f"image must be (H, W, 3), got {arr.shape}")
+def _check_stack(images) -> np.ndarray:
+    """A float64 copy of a (B, H, W, 3) stack, checked for finiteness."""
+    arr = np.array(images, dtype=np.float64)
+    if arr.ndim != 4 or arr.shape[3] != 3:
+        raise BadParam(f"images must be (B, H, W, 3), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("image contains NaN or Inf")
     return arr
 
 
-def _bilinear_sample(img: np.ndarray, ys: np.ndarray, xs: np.ndarray, fill=None) -> np.ndarray:
-    """Sample img at fractional pixel coordinates.
+def _one(img) -> np.ndarray:
+    """A single (H, W, 3) image as a checked stack of one."""
+    arr = np.asarray(img)
+    if arr.ndim != 3:
+        raise BadParam(f"image must be (H, W, 3), got {arr.shape}")
+    return _check_stack(arr[None])
 
+
+def _bilinear_sample(stack: np.ndarray, ys: np.ndarray, xs: np.ndarray, fill=None) -> np.ndarray:
+    """Sample each image of a stack at fractional pixel coordinates.
+
+    ys and xs broadcast to (B, H', W'), one coordinate grid per image.
     Coordinates are clamped to the border; with `fill` set, samples whose
     true coordinates fall outside the raster get the fill value instead
     (used for zero-padded rotation corners).
     """
-    h, w, _ = img.shape
+    n, h, w, _ = stack.shape
     y0 = np.floor(ys)
     x0 = np.floor(xs)
     ty = (ys - y0)[..., None]
     tx = (xs - x0)[..., None]
+    uy = 1 - ty
+    ux = 1 - tx
     y0i = y0.astype(np.int64)
     x0i = x0.astype(np.int64)
+    # corners as row indices into the (B*H*W, 3) pixel table
+    first = np.arange(n).reshape(n, 1, 1) * h
+    row0 = (first + np.clip(y0i, 0, h - 1)) * w
+    row1 = (first + np.clip(y0i + 1, 0, h - 1)) * w
+    col0 = np.clip(x0i, 0, w - 1)
+    col1 = np.clip(x0i + 1, 0, w - 1)
+    pixels = stack.reshape(-1, 3)
+    shape = (*np.broadcast_shapes(ys.shape, xs.shape), 3)
 
-    def at(yy, xx):
-        return img[np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
+    def at(row, col):
+        return pixels.take((row + col).ravel(), axis=0).reshape(shape)
 
     out = (
-        at(y0i, x0i) * (1 - ty) * (1 - tx)
-        + at(y0i, x0i + 1) * (1 - ty) * tx
-        + at(y0i + 1, x0i) * ty * (1 - tx)
-        + at(y0i + 1, x0i + 1) * ty * tx
+        at(row0, col0) * uy * ux
+        + at(row0, col1) * uy * tx
+        + at(row1, col0) * ty * ux
+        + at(row1, col1) * ty * tx
     )
     if fill is not None:
         outside = (ys < 0) | (ys > h - 1) | (xs < 0) | (xs > w - 1)
@@ -95,14 +128,9 @@ def _bilinear_sample(img: np.ndarray, ys: np.ndarray, xs: np.ndarray, fill=None)
     return out
 
 
-def _resize_region(img: np.ndarray, top: int, left: int, ch: int, cw: int) -> np.ndarray:
-    """Bilinear-resize the crop [top:top+ch, left:left+cw] back to full size."""
-    h, w, _ = img.shape
-    ys = top + (np.arange(h) + 0.5) * ch / h - 0.5
-    xs = left + (np.arange(w) + 0.5) * cw / w - 0.5
-    ys = np.clip(ys, top, top + ch - 1)
-    xs = np.clip(xs, left, left + cw - 1)
-    return _bilinear_sample(img, ys[:, None] + np.zeros(w), np.zeros((h, 1)) + xs)
+# ---------------------------------------------------------------------------
+# image ops: draw(h, w, rng, **params) reads one sample's stream;
+# apply(stack, params) maps a stack to a new stack, params[b] for image b
 
 
 def sample_crop_geometry(
@@ -139,6 +167,23 @@ def sample_crop_geometry(
     return 0, 0, h, w
 
 
+def _apply_crop(stack: np.ndarray, geoms) -> np.ndarray:
+    """Bilinear-resize each image's crop back to full size; a full-raster
+    crop leaves its image as it is."""
+    _, h, w, _ = stack.shape
+    out = stack.copy()
+    crop = [i for i, g in enumerate(geoms) if g != (0, 0, h, w)]
+    if crop:
+        top, left, ch, cw = np.array([geoms[i] for i in crop]).T[:, :, None]
+        ys = top + (np.arange(h) + 0.5) * ch / h - 0.5
+        xs = left + (np.arange(w) + 0.5) * cw / w - 0.5
+        ys = np.clip(ys, top, top + ch - 1)
+        xs = np.clip(xs, left, left + cw - 1)
+        resized = _bilinear_sample(stack[crop], ys[:, :, None], xs[:, None, :])
+        out[crop] = np.clip(resized, 0.0, 1.0)
+    return out
+
+
 def random_resized_crop(
     img,
     rng: Rng,
@@ -146,12 +191,7 @@ def random_resized_crop(
     ratio: tuple = (3 / 4, 4 / 3),
 ) -> np.ndarray:
     """Crop a random area fraction in [scale_min, 1] and resize back."""
-    img = _check_image(img)
-    h, w, _ = img.shape
-    top, left, ch, cw = sample_crop_geometry(h, w, rng, scale_min, ratio)
-    if (top, left, ch, cw) == (0, 0, h, w):
-        return img.copy()
-    return np.clip(_resize_region(img, top, left, ch, cw), 0.0, 1.0)
+    return _run_op("random_resized_crop", img, rng, scale_min=scale_min, ratio=ratio)
 
 
 def sample_erase_geometry(
@@ -176,6 +216,24 @@ def sample_erase_geometry(
     return None
 
 
+def _draw_erase(h: int, w: int, rng: Rng, area=(0.10, 0.20), ratio=(0.3, 10 / 3)):
+    """(top, left, noise), the noise drawn right after the rectangle."""
+    geom = sample_erase_geometry(h, w, rng, area, ratio)
+    if geom is None:
+        return None
+    top, left, eh, ew = geom
+    return top, left, rng.uniform(0.0, 1.0, size=(eh, ew, 3))
+
+
+def _apply_erase(stack: np.ndarray, drawn) -> np.ndarray:
+    out = stack.copy()
+    for img, d in zip(out, drawn):
+        if d is not None:
+            top, left, noise = d
+            img[top : top + noise.shape[0], left : left + noise.shape[1]] = noise
+    return out
+
+
 def random_erase(
     img,
     rng: Rng,
@@ -183,61 +241,91 @@ def random_erase(
     ratio: tuple = (0.3, 10 / 3),
 ) -> np.ndarray:
     """Erase a random rectangle, filling it with uniform noise."""
-    img = _check_image(img)
-    h, w, _ = img.shape
-    geom = sample_erase_geometry(h, w, rng, area, ratio)
-    if geom is None:
-        return img.copy()
-    top, left, eh, ew = geom
-    out = img.copy()
-    out[top : top + eh, left : left + ew] = rng.uniform(0.0, 1.0, size=(eh, ew, 3))
-    return out
+    return _run_op("random_erase", img, rng, area=area, ratio=ratio)
+
+
+def _draw_nothing(h: int, w: int, rng: Rng) -> None:
+    return None
+
+
+def _apply_grayscale(stack: np.ndarray, _params) -> np.ndarray:
+    lum = stack @ _LUMA
+    return np.repeat(lum[..., None], 3, axis=-1)
 
 
 def grayscale(img, rng: Rng | None = None) -> np.ndarray:
     """Collapse to luminance, replicated over the three channels."""
-    img = _check_image(img)
-    lum = img @ _LUMA
-    return np.repeat(lum[:, :, None], 3, axis=2)
+    return _run_op("random_grayscale", img, rng)
 
 
-def gaussian_blur(img, rng: Rng, kernel: int = 3, sigma: tuple = (0.1, 2.0)) -> np.ndarray:
-    """Separable Gaussian blur with a sigma drawn uniformly from `sigma`."""
-    img = _check_image(img)
+def _draw_blur(h: int, w: int, rng: Rng, kernel: int = 3, sigma: tuple = (0.1, 2.0)):
+    """The normalized 1-D kernel for a sigma drawn uniformly from `sigma`."""
     if kernel < 1 or kernel % 2 == 0:
         raise BadParam(f"kernel must be odd and positive, got {kernel}")
     s = float(rng.uniform(sigma[0], sigma[1]))
     half = kernel // 2
     offsets = np.arange(-half, half + 1)
     k = np.exp(-0.5 * (offsets / s) ** 2)
-    k /= k.sum()
-    padded = np.pad(img, ((half, half), (0, 0), (0, 0)), mode="edge")
-    out = sum(k[i] * padded[i : i + img.shape[0]] for i in range(kernel))
-    padded = np.pad(out, ((0, 0), (half, half), (0, 0)), mode="edge")
-    out = sum(k[i] * padded[:, i : i + img.shape[1]] for i in range(kernel))
-    return out
+    return k / k.sum()
+
+
+def _apply_blur(stack: np.ndarray, kernels) -> np.ndarray:
+    """Separable blur, rows then columns, edge-padded; one kernel size
+    per stack."""
+    _, h, w, _ = stack.shape
+    k = np.array(kernels)[:, :, None, None, None]
+    size = k.shape[1]
+    half = size // 2
+    padded = np.pad(stack, ((0, 0), (half, half), (0, 0), (0, 0)), mode="edge")
+    out = sum(k[:, i] * padded[:, i : i + h] for i in range(size))
+    padded = np.pad(out, ((0, 0), (0, 0), (half, half), (0, 0)), mode="edge")
+    return sum(k[:, i] * padded[:, :, i : i + w] for i in range(size))
+
+
+def gaussian_blur(img, rng: Rng, kernel: int = 3, sigma: tuple = (0.1, 2.0)) -> np.ndarray:
+    """Separable Gaussian blur with a sigma drawn uniformly from `sigma`."""
+    return _run_op("gaussian_blur", img, rng, kernel=kernel, sigma=sigma)
+
+
+def _draw_bcs(h: int, w: int, rng: Rng, x: float = 0.1):
+    """(factors, order): three factors in [1-x, 1+x], then their order."""
+    if not (0 <= x < 1):
+        raise BadParam(f"x must be in [0, 1), got {x}")
+    factors = rng.uniform(1 - x, 1 + x, size=3)
+    order = rng.permutation(3)
+    return factors, order
+
+
+def _apply_bcs(stack: np.ndarray, drawn) -> np.ndarray:
+    factors = np.array([f for f, _ in drawn])
+    order = np.array([o for _, o in drawn])
+    rows = np.arange(len(stack))
+    out = stack
+    for step in range(3):
+        which = order[:, step]
+        f = factors[rows, which][:, None, None, None]
+        nxt = np.empty_like(out)
+        for adjust in range(3):
+            sel = which == adjust
+            if not sel.any():
+                continue
+            img, fs = out[sel], f[sel]
+            if adjust == 0:  # brightness
+                nxt[sel] = img * fs
+            elif adjust == 1:  # contrast, about each image's mean luminance
+                mean = (img @ _LUMA).reshape(len(img), -1).mean(axis=1)[:, None, None, None]
+                nxt[sel] = mean + (img - mean) * fs
+            else:  # saturation, toward per-pixel luminance
+                lum = (img @ _LUMA)[..., None]
+                nxt[sel] = lum + (img - lum) * fs
+        out = nxt
+    return np.clip(out, 0.0, 1.0)
 
 
 def color_jitter_bcs(img, rng: Rng, x: float = 0.1) -> np.ndarray:
     """Brightness, contrast, saturation jitter with factors in [1-x, 1+x],
     applied in a random order, clamped to [0, 1]."""
-    img = _check_image(img)
-    if not (0 <= x < 1):
-        raise BadParam(f"x must be in [0, 1), got {x}")
-    factors = rng.uniform(1 - x, 1 + x, size=3)
-    order = rng.permutation(3)
-    out = img
-    for which in order:
-        f = factors[which]
-        if which == 0:  # brightness
-            out = out * f
-        elif which == 1:  # contrast, about the image's mean luminance
-            mean = (out @ _LUMA).mean()
-            out = mean + (out - mean) * f
-        else:  # saturation, toward per-pixel luminance
-            lum = (out @ _LUMA)[:, :, None]
-            out = lum + (out - lum) * f
-    return np.clip(out, 0.0, 1.0)
+    return _run_op("color_jitter_bcs", img, rng, x=x)
 
 
 def _rgb_to_hsv(img: np.ndarray) -> np.ndarray:
@@ -278,39 +366,78 @@ def _hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
     return out
 
 
-def color_jitter_hue(img, rng: Rng, x: float = 0.1) -> np.ndarray:
-    """Rotate hue by a uniform draw from [-x, x] of the color circle."""
-    img = _check_image(img)
+def _draw_hue(h: int, w: int, rng: Rng, x: float = 0.1) -> float:
     if not (0 <= x <= 0.5):
         raise BadParam(f"x must be in [0, 0.5], got {x}")
-    delta = float(rng.uniform(-x, x))
-    hsv = _rgb_to_hsv(img)
-    hsv[..., 0] = (hsv[..., 0] + delta) % 1.0
+    return float(rng.uniform(-x, x))
+
+
+def _apply_hue(stack: np.ndarray, deltas) -> np.ndarray:
+    hsv = _rgb_to_hsv(stack)
+    hsv[..., 0] = (hsv[..., 0] + np.array(deltas)[:, None, None]) % 1.0
     return np.clip(_hsv_to_rgb(hsv), 0.0, 1.0)
 
 
+def color_jitter_hue(img, rng: Rng, x: float = 0.1) -> np.ndarray:
+    """Rotate hue by a uniform draw from [-x, x] of the color circle."""
+    return _run_op("color_jitter_hue", img, rng, x=x)
+
+
 def flip_horizontal(img, rng: Rng | None = None) -> np.ndarray:
-    return _check_image(img)[:, ::-1].copy()
+    return _run_op("flip_horizontal", img, rng)
 
 
 def flip_vertical(img, rng: Rng | None = None) -> np.ndarray:
-    return _check_image(img)[::-1].copy()
+    return _run_op("flip_vertical", img, rng)
+
+
+def _draw_rotate(h: int, w: int, rng: Rng, degrees: float = 15.0):
+    """(cos, sin) of an angle drawn uniformly from [-degrees, +degrees]."""
+    if degrees < 0:
+        raise BadParam(f"degrees must be >= 0, got {degrees}")
+    theta = np.deg2rad(float(rng.uniform(-degrees, degrees)))
+    return np.cos(theta), np.sin(theta)
+
+
+def _apply_rotate(stack: np.ndarray, angles) -> np.ndarray:
+    _, h, w, _ = stack.shape
+    cos, sin = np.array(angles).T[:, :, None, None]
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    yy, xx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
+    src_y = sin * xx + cos * yy + cy
+    src_x = cos * xx - sin * yy + cx
+    return np.clip(_bilinear_sample(stack, src_y, src_x, fill=0.0), 0.0, 1.0)
 
 
 def rotate(img, rng: Rng, degrees: float = 15.0) -> np.ndarray:
     """Rotate by a uniform angle in [-degrees, +degrees] about the center,
     bilinear interpolation, zero padding outside the source raster."""
-    img = _check_image(img)
-    if degrees < 0:
-        raise BadParam(f"degrees must be >= 0, got {degrees}")
-    theta = np.deg2rad(float(rng.uniform(-degrees, degrees)))
-    h, w, _ = img.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
-    cos, sin = np.cos(theta), np.sin(theta)
-    src_y = sin * xx + cos * yy + cy
-    src_x = cos * xx - sin * yy + cx
-    return np.clip(_bilinear_sample(img, src_y, src_x, fill=0.0), 0.0, 1.0)
+    return _run_op("rotate", img, rng, degrees=degrees)
+
+
+class ImageOp(NamedTuple):
+    draw: Callable  # (h, w, rng, **params) -> one sample's parameters
+    apply: Callable  # (stack, per-sample parameters) -> new stack
+
+
+IMAGE_OPS = {
+    "random_resized_crop": ImageOp(sample_crop_geometry, _apply_crop),
+    "random_erase": ImageOp(_draw_erase, _apply_erase),
+    "random_grayscale": ImageOp(_draw_nothing, _apply_grayscale),
+    "gaussian_blur": ImageOp(_draw_blur, _apply_blur),
+    "color_jitter_bcs": ImageOp(_draw_bcs, _apply_bcs),
+    "color_jitter_hue": ImageOp(_draw_hue, _apply_hue),
+    "flip_horizontal": ImageOp(_draw_nothing, lambda stack, _params: stack[:, :, ::-1].copy()),
+    "flip_vertical": ImageOp(_draw_nothing, lambda stack, _params: stack[:, ::-1].copy()),
+    "rotate": ImageOp(_draw_rotate, _apply_rotate),
+}
+
+
+def _run_op(name: str, img, rng: Rng, **params) -> np.ndarray:
+    """One op, ungated, on one image: draw, then apply to a stack of one."""
+    stack = _one(img)
+    op = IMAGE_OPS[name]
+    return op.apply(stack, [op.draw(*stack.shape[1:3], rng, **params)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +462,6 @@ class AugPolicy:
         if not (0 <= self.probability <= 1):
             raise BadParam(f"probability must be in [0, 1], got {self.probability}")
 
-
-IMAGE_OPS = {
-    "random_resized_crop": random_resized_crop,
-    "random_erase": random_erase,
-    "random_grayscale": grayscale,
-    "gaussian_blur": gaussian_blur,
-    "color_jitter_bcs": color_jitter_bcs,
-    "color_jitter_hue": color_jitter_hue,
-    "flip_horizontal": flip_horizontal,
-    "flip_vertical": flip_vertical,
-    "rotate": rotate,
-}
 
 # Production parameterization. Gaussian blur, hue jitter and vertical flip
 # hurt retrieval and are kept out of the production pool below.
@@ -387,12 +502,29 @@ TRIVIAL_SPACE = {
 
 
 def apply_policy(img, policy: AugPolicy, rng: Rng) -> np.ndarray:
-    """Run one gated policy. The gate draw happens unconditionally so the
-    rng stream advances identically whether or not the op fires."""
-    gate = float(rng.random())
-    if gate >= policy.probability:
-        return _check_image(img).copy()
-    return IMAGE_OPS[policy.name](img, rng, **policy.params)
+    """Run one gated policy on one image."""
+    return _apply_stage(_one(img), [policy], [rng])[0]
+
+
+def _apply_stage(stack: np.ndarray, policies, rngs) -> np.ndarray:
+    """Run policies[b] on image b, gated, in place; returns the stack.
+
+    Every sample draws its gate, and then its op's parameters when the
+    gate fires; the gate draw happens unconditionally so the stream
+    advances identically whether or not the op fires. Each op then runs
+    once over the samples it fired on.
+    """
+    h, w = stack.shape[1:3]
+    fired: dict = {}
+    for b, (policy, rng) in enumerate(zip(policies, rngs)):
+        gate = float(rng.random())
+        if gate < policy.probability:
+            idx, params = fired.setdefault(policy.name, ([], []))
+            idx.append(b)
+            params.append(IMAGE_OPS[policy.name].draw(h, w, rng, **policy.params))
+    for name, (idx, params) in fired.items():
+        stack[idx] = IMAGE_OPS[name].apply(stack[idx], params)
+    return stack
 
 
 def pool_select(pool, rng: Rng, k: int = 2) -> list:
@@ -619,20 +751,38 @@ class AugmentConfig:
                 raise BadParam(f"unknown text op '{name}'")
         if not (0 < self.alpha < 1):
             raise BadParam(f"alpha must be in (0, 1), got {self.alpha}")
+        if not (isinstance(self.pool_k, int) and 1 <= self.pool_k <= len(self.image_pool)):
+            raise BadParam(
+                f"pool_k must be an integer in [1, {len(self.image_pool)}], got {self.pool_k}"
+            )
+        if not (0 <= self.back_translate_p <= 1):
+            raise BadParam(f"back_translate_p must be in [0, 1], got {self.back_translate_p}")
 
 
-def augment_image(img, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
-    """Produce one augmented view of an image per the configured mode."""
+def augment_image(images, cfg: AugmentConfig, rngs) -> np.ndarray:
+    """One augmented view of each image of a (B, H, W, 3) stack.
+
+    Image b reads only rngs[b], in the order a lone image would: first
+    the pool or trivial selection, then per stage its gate and its op's
+    draws. Samples that picked the same op at a stage share one apply
+    call. The stack is checked once, for shape and finiteness, and never
+    modified.
+    """
+    out = _check_stack(images)
+    if len(rngs) != len(out):
+        raise BadParam(f"need one rng per image, got {len(rngs)} for {len(out)}")
     if cfg.image_mode == "none":
-        return _check_image(img).copy()
+        return out
     if cfg.image_mode == "trivial":
-        return apply_policy(img, trivial_select(rng).policy, rng)
-    policies = [PRODUCTION_POLICIES[name] for name in cfg.image_pool]
-    if cfg.image_mode == "pool":
-        policies = pool_select(policies, rng, cfg.pool_k)
-    out = img
-    for policy in policies:
-        out = apply_policy(out, policy, rng)
+        plans = [[trivial_select(rng).policy] for rng in rngs]
+    else:
+        policies = [PRODUCTION_POLICIES[name] for name in cfg.image_pool]
+        if cfg.image_mode == "pool":
+            plans = [pool_select(policies, rng, cfg.pool_k) for rng in rngs]
+        else:
+            plans = [policies] * len(out)
+    for stage in zip(*plans):
+        _apply_stage(out, stage, rngs)
     return out
 
 

@@ -11,6 +11,7 @@ splittable `Rng` so that any run can be replayed bit-for-bit from
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -156,13 +157,18 @@ class Rng:
     the same pair twice yields bit-identical draw sequences, and child
     streams derived via `child` / `named` are statistically independent of
     the parent and of each other. Backed by Philox4x64, which is keyed
-    (not sequentially seeded), so derivation never consumes draws.
+    (not sequentially seeded), so derivation never consumes draws. The
+    generator is built on the first draw: `child` and `named` only hash,
+    and most derived streams are never drawn from.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream = int(stream) & _MASK64
-        self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, stream={self.stream})"

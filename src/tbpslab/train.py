@@ -122,10 +122,23 @@ class AdamW:
 @dataclass
 class Batch:
     images: np.ndarray  # (N, H, W, 3) originals
-    images_aug: np.ndarray  # (N, H, W, 3) augmented views
+    images_aug: np.ndarray | None  # (N, H, W, 3) augmented views, if built
     tokens: list  # N token lists
-    tokens_aug: list
+    tokens_aug: list | None  # N augmented token lists, if built
     ids: np.ndarray  # (N,) identities
+
+
+_NEEDS_IMG_ALT = ("ss_i", "ss_it", "mvs_i", "mvs_it")
+_NEEDS_TXT_ALT = ("ss_t", "ss_it", "mvs_t", "mvs_it")
+
+
+def views_needed(loss_cfg: LossConfig | None) -> tuple:
+    """(image views, text views): whether the active loss terms consume
+    the augmented views of each modality. Without a loss config, both."""
+    if loss_cfg is None:
+        return True, True
+    active = {k for k, v in loss_cfg.weights.items() if v > 0}
+    return bool(active.intersection(_NEEDS_IMG_ALT)), bool(active.intersection(_NEEDS_TXT_ALT))
 
 
 def assemble_batch(
@@ -134,37 +147,46 @@ def assemble_batch(
     rng: Rng,
     lexicon: Lexicon | None = None,
     translator=None,
+    loss_cfg: LossConfig | None = None,
+    tokens=None,
 ) -> Batch:
-    """Augmented views for one batch; per-sample child streams keep the
-    result independent of batch size boundaries elsewhere."""
+    """Augmented views for one batch.
+
+    Sample i draws from `rng.child(i)`, its image view from the child's
+    "image" stream and its text view from the "text" stream, so a view
+    does not depend on the rest of the batch. Only the views that
+    `loss_cfg`'s active terms consume are built; the others are None.
+    Without a loss config both views are built. `tokens`, when given,
+    are the samples' captions already tokenized.
+    """
     if len(samples) < 2:
         raise BatchTooSmall(f"need at least 2 samples, got {len(samples)}")
     if translator is None:
         translator = IdentityTranslator()
-    images, images_aug, tokens, tokens_aug, ids = [], [], [], [], []
-    for i, s in enumerate(samples):
-        child = rng.child(i)
-        images.append(s.image)
-        images_aug.append(augment_image(s.image, aug_cfg, child.named("image")))
-        toks = tokenize(s.caption)
-        tokens.append(toks)
-        tokens_aug.append(augment_text(toks, aug_cfg, lexicon, translator, child.named("text")))
-        ids.append(s.identity)
+    if tokens is None:
+        tokens = [tokenize(s.caption) for s in samples]
+    want_img, want_txt = views_needed(loss_cfg)
+    children = [rng.child(i) for i in range(len(samples))]
+    images = np.stack([s.image for s in samples])
+    images_aug = tokens_aug = None
+    if want_img:
+        images_aug = augment_image(images, aug_cfg, [c.named("image") for c in children])
+    if want_txt:
+        tokens_aug = [
+            augment_text(toks, aug_cfg, lexicon, translator, c.named("text"))
+            for toks, c in zip(tokens, children)
+        ]
     return Batch(
-        images=np.stack(images),
-        images_aug=np.stack(images_aug),
-        tokens=tokens,
+        images=images,
+        images_aug=images_aug,
+        tokens=list(tokens),
         tokens_aug=tokens_aug,
-        ids=np.array(ids, dtype=np.int64),
+        ids=np.array([s.identity for s in samples], dtype=np.int64),
     )
 
 
 # ---------------------------------------------------------------------------
 # the step
-
-_NEEDS_IMG_ALT = ("ss_i", "ss_it", "mvs_i", "mvs_it")
-_NEEDS_TXT_ALT = ("ss_t", "ss_it", "mvs_t", "mvs_it")
-
 
 @dataclass
 class StepStats:
@@ -201,8 +223,7 @@ def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
     d = model.config.embed_dim
     w = loss_cfg.weights
     active = {k for k, v in w.items() if v > 0}
-    need_img_alt = bool(active.intersection(_NEEDS_IMG_ALT))
-    need_txt_alt = bool(active.intersection(_NEEDS_TXT_ALT))
+    need_img_alt, need_txt_alt = views_needed(loss_cfg)
 
     z_img, cache_img = encode_image(model, batch.images)
     z_txt, cache_txt = encode_text(model, batch.tokens, train=True, rng=rng.named("drop-txt"))
@@ -398,6 +419,7 @@ def fit(
         warmup_frac=tcfg.warmup_frac,
     )
     optimizer = AdamW(weight_decay=tcfg.weight_decay)
+    captions = [tokenize(s.caption) for s in samples]
     history = []
     step = 0
     for epoch in range(tcfg.epochs):
@@ -410,6 +432,8 @@ def fit(
                 rng.named(f"aug-{epoch}-{bi}"),
                 lexicon=lexicon,
                 translator=translator,
+                loss_cfg=loss_cfg,
+                tokens=[captions[i] for i in chosen],
             )
             lr = schedule.lr_at(step)
             stats = train_step(

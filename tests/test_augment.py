@@ -361,14 +361,15 @@ class TestPipelines:
         img = toy_image(rng)
         for mode in ("pool", "stack", "trivial", "none"):
             cfg = AugmentConfig(image_mode=mode)
-            a = augment_image(img, cfg, Rng(7, 1))
-            b = augment_image(img, cfg, Rng(7, 1))
+            a = augment_image(img[None], cfg, [Rng(7, 1)])
+            b = augment_image(img[None], cfg, [Rng(7, 1)])
             assert np.array_equal(a, b)
-            assert a.shape == img.shape
+            assert a.shape == (1, *img.shape)
 
     def test_image_none_is_identity(self, rng):
         img = toy_image(rng)
-        assert np.array_equal(augment_image(img, AugmentConfig(image_mode="none"), Rng(1)), img)
+        out = augment_image(img[None], AugmentConfig(image_mode="none"), [Rng(1)])
+        assert np.array_equal(out[0], img)
 
     def test_text_none_is_identity_upto_truncation(self):
         cfg = AugmentConfig(text_mode="none")

@@ -111,6 +111,20 @@ class TestValidation:
             with pytest.raises(ConfigError):
                 resolve(overrides=[ov])
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "augment.pool_k=0",
+            "augment.pool_k=-1",
+            "augment.pool_k=9",  # the pool holds six ops
+            "augment.back_translate_p=3.0",
+            "augment.back_translate_p=-0.1",
+        ],
+    )
+    def test_bad_augment_values_rejected_at_config_time(self, override):
+        with pytest.raises(ConfigError, match=override.split(".")[1].split("=")[0]):
+            resolve(preset="tbps-clip", overrides=[override])
+
     def test_weight_for_unknown_term_rejected(self):
         with pytest.raises(ConfigError, match="wurst"):
             resolve(overrides=["loss.weights.wurst=1.0"])

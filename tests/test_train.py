@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tbpslab import train
 from tbpslab.augment import AugmentConfig
 from tbpslab.data import ToySpec, build_vocab, generate_toy
 from tbpslab.losses import LossConfig
@@ -199,6 +200,33 @@ class TestAssembleBatch:
         with pytest.raises(BatchTooSmall):
             assemble_batch(ds.train[:1], NO_AUG, rng)
 
+    @pytest.mark.parametrize(
+        "weights, want_img, want_txt",
+        [
+            ({"n_itc": 1.0}, False, False),
+            ({"n_itc": 1.0, "ss_i": 0.3, "mvs_i": 0.3}, True, False),
+            ({"n_itc": 1.0, "mvs_t": 0.3}, False, True),
+            ({"n_itc": 1.0, "ss_it": 0.3, "mvs_i": 0.0}, True, True),
+        ],
+    )
+    def test_builds_only_consumed_views(self, weights, want_img, want_txt):
+        ds = tiny_corpus()
+        full = assemble_batch(ds.train[:5], AugmentConfig(), Rng(4))
+        part = assemble_batch(ds.train[:5], AugmentConfig(), Rng(4), loss_cfg=LossConfig(weights=weights))
+        assert (part.images_aug is not None) == want_img
+        assert (part.tokens_aug is not None) == want_txt
+        if want_img:
+            assert np.array_equal(part.images_aug, full.images_aug)
+        if want_txt:
+            assert part.tokens_aug == full.tokens_aug
+        assert np.array_equal(part.images, full.images) and part.tokens == full.tokens
+
+    def test_pretokenized_captions_used(self):
+        ds = tiny_corpus()
+        given = [["red", "shirt"], ["blue"], ["hat"], ["bag", "red"]]
+        batch = assemble_batch(ds.train[:4], NO_AUG, Rng(8), tokens=given)
+        assert batch.tokens == given == batch.tokens_aug
+
 
 def synthetic_batch(samples, rng):
     return assemble_batch(samples, NO_AUG, rng)
@@ -368,6 +396,14 @@ class TestFit:
         out = fit(model, train_samples, self.LOSS, NO_AUG, tcfg, Rng(1), on_step=rows.append)
         assert rows == out.history
         assert len(rows) >= 1
+
+    def test_captions_tokenized_once_per_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(train, "tokenize", lambda text: calls.append(text) or text.split())
+        ds = tiny_corpus(n_ids=4, images=2)
+        model, train_samples = self._model_for(ds)
+        fit(model, train_samples, self.LOSS, AugmentConfig(), TrainConfig(epochs=3, batch_size=4), Rng(1))
+        assert sorted(calls) == sorted(s.caption for s in train_samples)
 
     def test_too_few_samples(self):
         ds = tiny_corpus()
