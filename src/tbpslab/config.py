@@ -21,7 +21,7 @@ import yaml
 
 from .augment import AugmentConfig
 from .data import ToySpec
-from .losses import KNOWN_LOSSES, LossConfig
+from .losses import LossConfig, UnknownTerm
 from .model import ModelConfig
 from .schema import ConfigError, load
 from .train import TrainConfig
@@ -163,15 +163,10 @@ def _apply_override(config: dict, parts, value, full_path) -> dict:
             raise ConfigError(f"unknown config key '{'.'.join(parts[: i + 1])}'")
         node = node[part]
     leaf = parts[-1]
-    inside_weights = len(parts) >= 2 and parts[-2] == "weights"
-    if inside_weights:
-        if leaf not in KNOWN_LOSSES:
-            raise ConfigError(f"unknown loss term '{leaf}' in '{full_path}'")
-        node[leaf] = value
-    else:
-        if leaf not in node:
-            raise ConfigError(f"unknown config key '{full_path}'")
-        node[leaf] = value
+    # a weight map may gain a term; LossConfig rejects an unknown one
+    if leaf not in node and parts[:-1] != ["loss", "weights"]:
+        raise ConfigError(f"unknown config key '{full_path}'")
+    node[leaf] = value
     return out
 
 
@@ -249,6 +244,8 @@ def materialize(config: dict) -> Experiment:
                 raise ConfigError(f"freeze_modules entries must be strings, got {name!r}")
     except ConfigError:
         raise
+    except UnknownTerm as e:
+        raise ConfigError(e.args[0]) from None
     except KeyError as e:
         raise ConfigError(f"missing config key {e}") from None
     except (TypeError, ValueError) as e:

@@ -33,7 +33,22 @@ from .numerics import (
     log_softmax_rows,
 )
 
-KNOWN_LOSSES = ("n_itc", "ss_i", "ss_t", "ss_it", "mvs_i", "mvs_t", "mvs_it", "r_itc", "c_itc")
+# (image view, text view) each term reads: "orig" the original input, "alt"
+# its augmented view, "both" the two stacked as [orig; alt] for the SS view
+# contrast, None a modality the term ignores. The trainer encodes views and
+# routes gradients from this table alone.
+TERM_VIEWS = {
+    "n_itc": ("orig", "orig"),
+    "ss_i": ("both", None),
+    "ss_t": (None, "both"),
+    "ss_it": ("both", "both"),
+    "mvs_i": ("alt", "orig"),
+    "mvs_t": ("orig", "alt"),
+    "mvs_it": ("alt", "alt"),
+    "r_itc": ("orig", "orig"),
+    "c_itc": ("orig", "orig"),
+}
+KNOWN_LOSSES = tuple(TERM_VIEWS)
 
 
 class LengthMismatch(ValueError):
@@ -50,6 +65,10 @@ class BadPairing(ValueError):
 
 class MissingTerm(KeyError):
     """A stack weight refers to a loss term that was not supplied."""
+
+
+class UnknownTerm(KeyError):
+    """A loss weight names a term outside TERM_VIEWS."""
 
 
 @dataclass
@@ -141,8 +160,8 @@ class LossConfig:
 
     def __post_init__(self):
         for name in self.weights:
-            if name not in KNOWN_LOSSES:
-                raise KeyError(f"unknown loss term '{name}'; known: {KNOWN_LOSSES}")
+            if name not in TERM_VIEWS:
+                raise UnknownTerm(f"unknown loss term '{name}'; known: {KNOWN_LOSSES}")
         if not any(w > 0 for w in self.weights.values()):
             raise ValueError("at least one loss weight must be positive")
         if not (self.tau_s > 0):
@@ -383,22 +402,19 @@ def mvs_terms(
 ) -> dict:
     """Contrastive terms across re-augmented views, all sharing `labels`.
 
-    mvs_i contrasts the alternate image view against the text, mvs_t the
-    image against the alternate text view, mvs_it both alternates. Each
-    result's grad_image / grad_text refer to the batches actually used
-    (the caller routes them onto the right view). `wanted` restricts the
-    computed terms, so an alternate view that no requested term touches
-    may be passed as None.
+    Each mvs_* term is n_itc on the image view and the text view that
+    TERM_VIEWS names for it. Each result's grad_image / grad_text refer to
+    the batches actually used (the caller routes them onto the right view).
+    `wanted` restricts the computed terms, so a view that no requested term
+    touches may be passed as None.
     """
-    recipes = {
-        "mvs_i": lambda: n_itc(img_alt, txt, labels, tau),
-        "mvs_t": lambda: n_itc(img, txt_alt, labels, tau),
-        "mvs_it": lambda: n_itc(img_alt, txt_alt, labels, tau),
-    }
-    unknown = set(wanted) - set(recipes)
+    names = [name for name in TERM_VIEWS if name.startswith("mvs_")]
+    unknown = set(wanted) - set(names)
     if unknown:
         raise KeyError(f"unknown view terms {sorted(unknown)}")
-    return {name: recipes[name]() for name in recipes if name in set(wanted)}
+    image, text = {"orig": img, "alt": img_alt}, {"orig": txt, "alt": txt_alt}
+    views = {name: TERM_VIEWS[name] for name in names if name in set(wanted)}
+    return {name: n_itc(image[vi], text[vt], labels, tau) for name, (vi, vt) in views.items()}
 
 
 def stack(config: LossConfig, terms: dict) -> LossResult:

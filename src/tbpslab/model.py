@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -119,6 +119,11 @@ class Model:
                 seen.append(name)
         return seen
 
+    def inert_modules(self) -> set:
+        """Modules that never take an update: the frozen ones and the
+        dropped text layers."""
+        return self.frozen | {f"txt.hidden.{i}" for i in self.config.dropped_text_layers}
+
     def module_keys(self, name: str) -> list:
         keys = [k for k in self.params if module_of(k) == name]
         if not keys:
@@ -171,13 +176,12 @@ def init_model(config: ModelConfig, rng: Rng) -> Model:
 
 
 def parameter_count(model: Model, trainable_only: bool = False) -> int:
-    """Total (or trainable) scalar parameter count. Dropped text layers
-    never count as trainable; frozen modules are excluded when asked."""
+    """Total (or trainable) scalar parameter count. Inert modules (frozen
+    ones and dropped text layers) are excluded when asked."""
     total = 0
-    dropped = {f"txt.hidden.{i}" for i in model.config.dropped_text_layers}
+    inert = model.inert_modules() if trainable_only else set()
     for key, value in model.params.items():
-        mod = module_of(key)
-        if trainable_only and (mod in model.frozen or mod in dropped):
+        if module_of(key) in inert:
             continue
         total += int(np.asarray(value).size)
     return total
@@ -383,21 +387,41 @@ def save_checkpoint(model: Model, path):
 
 
 def load_checkpoint(path) -> Model:
+    """Read a file written by save_checkpoint. A file that is not one, is
+    cut short anywhere or carries bytes past its last tensor raises a
+    ValueError naming the file and the problem."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header["version"] != 1:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        params = {}
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-            params[spec["key"]] = arr.copy()
+        data = fh.read()
+    pos = 0
+
+    def take(n, what):
+        nonlocal pos
+        if n > len(data) - pos:
+            raise ValueError(
+                f"checkpoint {path}: cut short in {what} ({len(data) - pos} of {n} bytes)"
+            )
+        pos += n
+        return data[pos - n : pos]
+
+    magic = take(len(CHECKPOINT_MAGIC), "magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"checkpoint {path}: not a checkpoint file (magic {magic!r})")
+    (hlen,) = struct.unpack("<Q", take(8, "header length"))
+    blob = take(hlen, "header")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path}: unreadable header ({e})") from None
+    if header["version"] != 1:
+        raise ValueError(f"checkpoint {path}: unsupported version {header['version']}")
+    params = {}
+    for spec in header["tensors"]:
+        shape = tuple(spec["shape"])
+        count = int(np.prod(shape)) if shape else 1
+        buf = take(8 * count, f"tensor '{spec['key']}'")
+        params[spec["key"]] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+    if pos != len(data):
+        raise ValueError(f"checkpoint {path}: {len(data) - pos} bytes past the last tensor")
     return Model(
         config=load(ModelConfig, header["config"], "model"),
         params=params,
@@ -411,10 +435,3 @@ def clone_model(model: Model) -> Model:
         params={k: v.copy() for k, v in model.params.items()},
         frozen=set(model.frozen),
     )
-
-
-def with_dropped_text_layers(model: Model, layer_ids) -> Model:
-    """A copy of the model whose listed text layers are skipped in forward."""
-    cfg = replace(model.config, dropped_text_layers=tuple(sorted(layer_ids)))
-    return Model(config=cfg, params={k: v.copy() for k, v in model.params.items()},
-                 frozen=set(model.frozen))

@@ -2,12 +2,12 @@
 a step function that assembles the full loss stack from two encoded views
 of each modality.
 
-Gradient routing: every loss term is first lifted onto canonical gradient
-slots, a (2N, d) image block over [original; augmented] rows and the same
-for text. Pair terms touch the quarter they were computed on, view-level
-terms touch a full block. The lifted terms are then combined linearly and
-pushed through the encoder backward passes, one per encode call, summing
-parameter gradients.
+Gradient routing: `losses.TERM_VIEWS` names the views each loss term reads.
+The step encodes only the views active terms read, computes each term on
+them, and places its gradients on the matching rows of a (2N, d) image
+block over [original; augmented] rows and the same for text. The placed
+terms are combined linearly and pushed through the encoder backward
+passes, one per encode call, summing parameter gradients.
 
 The optimizer skips frozen modules and dropped text layers entirely: their
 tensors keep their exact bytes, which the freeze tests pin down.
@@ -128,17 +128,14 @@ class Batch:
     ids: np.ndarray  # (N,) identities
 
 
-_NEEDS_IMG_ALT = ("ss_i", "ss_it", "mvs_i", "mvs_it")
-_NEEDS_TXT_ALT = ("ss_t", "ss_it", "mvs_t", "mvs_it")
-
-
 def views_needed(loss_cfg: LossConfig | None) -> tuple:
-    """(image views, text views): whether the active loss terms consume
-    the augmented views of each modality. Without a loss config, both."""
+    """(image views, text views): whether the active loss terms read the
+    augmented view of each modality, alone or stacked with the original
+    (`losses.TERM_VIEWS`). Without a loss config, both."""
     if loss_cfg is None:
         return True, True
-    active = {k for k, v in loss_cfg.weights.items() if v > 0}
-    return bool(active.intersection(_NEEDS_IMG_ALT)), bool(active.intersection(_NEEDS_TXT_ALT))
+    read = [losses.TERM_VIEWS[k] for k, v in loss_cfg.weights.items() if v > 0]
+    return tuple(any(views[side] in ("alt", "both") for views in read) for side in (0, 1))
 
 
 def assemble_batch(
@@ -196,44 +193,29 @@ class StepStats:
     lr: float
 
 
-def _lift(result: LossResult, n: int, d: int, img_rows, txt_rows) -> LossResult:
-    """Embed a term's gradients into the canonical (2N, d) slots."""
-    gi = np.zeros((2 * n, d))
-    gt = np.zeros((2 * n, d))
-    if result.grad_image is not None:
-        gi[img_rows] = result.grad_image
-    if result.grad_text is not None:
-        gt[txt_rows] = result.grad_text
-    return LossResult(
-        value=result.value, grad_image=gi, grad_text=gt, grad_log_tau=result.grad_log_tau
-    )
-
-
 def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
     """Loss value and parameter gradients for one batch, no update.
 
-    Encodes only the views the active terms need, lifts every term onto
-    the canonical gradient slots, combines them with the configured
-    weights, and backpropagates through each encode call. Dropout streams
-    derive from `rng` by name, so the same rng reproduces the same masks.
+    Encodes only the views the active terms read, computes each term on the
+    views `losses.TERM_VIEWS` names, places its gradients on those rows,
+    combines the terms with the configured weights, and backpropagates
+    through each encode call. Dropout streams derive from `rng` by name, so
+    the same rng reproduces the same masks.
 
     Returns (value, grads, term_values).
     """
     n = len(batch.ids)
     d = model.config.embed_dim
-    w = loss_cfg.weights
-    active = {k for k, v in w.items() if v > 0}
+    active = sorted(k for k, v in loss_cfg.weights.items() if v > 0)
     need_img_alt, need_txt_alt = views_needed(loss_cfg)
 
-    z_img, cache_img = encode_image(model, batch.images)
-    z_txt, cache_txt = encode_text(model, batch.tokens, train=True, rng=rng.named("drop-txt"))
-    z_img_alt = cache_img_alt = z_txt_alt = cache_txt_alt = None
+    # (embeddings, cache) of each encode call, by view
+    img = {"orig": encode_image(model, batch.images)}
+    txt = {"orig": encode_text(model, batch.tokens, train=True, rng=rng.named("drop-txt"))}
     if need_img_alt:
-        z_img_alt, cache_img_alt = encode_image(model, batch.images_aug)
+        img["alt"] = encode_image(model, batch.images_aug)
     if need_txt_alt:
-        z_txt_alt, cache_txt_alt = encode_text(
-            model, batch.tokens_aug, train=True, rng=rng.named("drop-txt-alt")
-        )
+        txt["alt"] = encode_text(model, batch.tokens_aug, train=True, rng=rng.named("drop-txt-alt"))
 
     if loss_cfg.diagonal_labels:
         labels = losses.diagonal_label_matrix(n)
@@ -241,88 +223,77 @@ def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
         labels = losses.build_labels(batch.ids, batch.ids)
 
     tau = model.tau
+    fi = {view: EmbeddingBatch(z, batch.ids, normalized=True) for view, (z, _) in img.items()}
+    ft = {view: EmbeddingBatch(z, batch.ids, normalized=True) for view, (z, _) in txt.items()}
 
-    def eb(z):
-        return EmbeddingBatch(z, batch.ids, normalized=True)
+    def pair(name):
+        view_i, view_t = losses.TERM_VIEWS[name]
+        return fi[view_i], ft[view_t]
 
-    orig, alt = slice(0, n), slice(n, 2 * n)
     terms = {}
-
     if "n_itc" in active:
+        f_img, f_txt = pair("n_itc")
         n_labels = labels
         if loss_cfg.soft_label:
             # targets mix in the model's own current matching distribution;
             # the distribution itself is held constant (no gradient through it)
-            sim = z_img @ z_txt.T
+            sim = f_img.features @ f_txt.features.T
             n_labels = losses.soft_label(
                 labels, softmax_rows(sim, tau), softmax_rows(sim.T, tau)
             )
-        res = losses.n_itc(eb(z_img), eb(z_txt), n_labels, tau)
-        terms["n_itc"] = _lift(res, n, d, orig, orig)
+        terms["n_itc"] = losses.n_itc(f_img, f_txt, n_labels, tau)
     if "r_itc" in active:
-        res = losses.r_itc(eb(z_img), eb(z_txt), labels, tau, eps=loss_cfg.eps)
-        terms["r_itc"] = _lift(res, n, d, orig, orig)
+        terms["r_itc"] = losses.r_itc(*pair("r_itc"), labels, tau, eps=loss_cfg.eps)
     if "c_itc" in active:
-        res = losses.c_itc(eb(z_img), eb(z_txt))
-        terms["c_itc"] = _lift(res, n, d, orig, orig)
+        terms["c_itc"] = losses.c_itc(*pair("c_itc"))
 
-    if active.intersection(("mvs_i", "mvs_t", "mvs_it")):
-        mvs = losses.mvs_terms(
-            eb(z_img),
-            eb(z_img_alt) if need_img_alt else None,
-            eb(z_txt),
-            eb(z_txt_alt) if need_txt_alt else None,
-            labels,
-            tau,
-            wanted=active.intersection(("mvs_i", "mvs_t", "mvs_it")),
+    mvs = [k for k in active if k.startswith("mvs_")]
+    if mvs:
+        terms.update(losses.mvs_terms(
+            fi["orig"], fi.get("alt"), ft["orig"], ft.get("alt"), labels, tau, wanted=mvs
+        ))
+
+    def view_contrast(encoded):
+        """ss_loss over one modality's [orig; alt] stack."""
+        views = EmbeddingBatch(
+            np.vstack([encoded["orig"][0], encoded["alt"][0]]),
+            np.concatenate([batch.ids, batch.ids]),
+            normalized=True,
         )
-        rows = {"mvs_i": (alt, orig), "mvs_t": (orig, alt), "mvs_it": (alt, alt)}
-        for name, res in mvs.items():
-            terms[name] = _lift(res, n, d, *rows[name])
+        return losses.ss_loss(views, losses.make_view_pairing(n), loss_cfg.tau_s)
 
-    if active.intersection(("ss_i", "ss_t", "ss_it")):
-        pairing = losses.make_view_pairing(n)
-        view_ids = np.concatenate([batch.ids, batch.ids])
+    # an SS term is the view contrast of each modality it reads, under one weight
+    ss = [k for k in active if "both" in losses.TERM_VIEWS[k]]
+    ss_img = view_contrast(img) if any(losses.TERM_VIEWS[k][0] for k in ss) else None
+    ss_txt = view_contrast(txt) if any(losses.TERM_VIEWS[k][1] for k in ss) else None
+    for name in ss:
+        view_i, view_t = losses.TERM_VIEWS[name]
+        terms[name] = LossResult(
+            value=(ss_img.value if view_i else 0.0) + (ss_txt.value if view_t else 0.0),
+            grad_image=ss_img.grad_image if view_i else None,
+            grad_text=ss_txt.grad_image if view_t else None,
+        )
 
-    def views(a, b):
-        return EmbeddingBatch(np.vstack([a, b]), view_ids, normalized=True)
+    rows = {"orig": slice(0, n), "alt": slice(n, 2 * n), "both": slice(0, 2 * n)}
+    placed = {}
+    for name, res in terms.items():
+        view_i, view_t = losses.TERM_VIEWS[name]
+        grad_image, grad_text = np.zeros((2 * n, d)), np.zeros((2 * n, d))
+        if view_i:
+            grad_image[rows[view_i]] = res.grad_image
+        if view_t:
+            grad_text[rows[view_t]] = res.grad_text
+        placed[name] = LossResult(res.value, grad_image, grad_text, res.grad_log_tau)
 
-    if active.intersection(("ss_i", "ss_it")):
-        res = losses.ss_loss(views(z_img, z_img_alt), pairing, loss_cfg.tau_s)
-        lifted = LossResult(value=res.value, grad_image=res.grad_image, grad_text=np.zeros((2 * n, d)))
-        if "ss_i" in active:
-            terms["ss_i"] = lifted
-        if "ss_it" in active:
-            terms["ss_it"] = lifted
-    if active.intersection(("ss_t", "ss_it")):
-        res = losses.ss_loss(views(z_txt, z_txt_alt), pairing, loss_cfg.tau_s)
-        lifted = LossResult(value=res.value, grad_image=np.zeros((2 * n, d)), grad_text=res.grad_image)
-        if "ss_t" in active:
-            terms["ss_t"] = lifted
-        if "ss_it" in active:
-            # both-modality term: sum the two view losses under one weight
-            prev = terms.get("ss_it")
-            if prev is None:
-                terms["ss_it"] = lifted
-            else:
-                terms["ss_it"] = LossResult(
-                    value=prev.value + lifted.value,
-                    grad_image=prev.grad_image,
-                    grad_text=lifted.grad_text,
-                    grad_log_tau=0.0,
-                )
-
-    total = losses.stack(loss_cfg, terms)
+    total = losses.stack(loss_cfg, placed)
     if not np.isfinite(total.value):
         raise NonFiniteLoss(f"loss became {total.value}")
 
     grads: dict = {}
-    backward_image(model, cache_img, total.grad_image[orig], grads)
-    if need_img_alt:
-        backward_image(model, cache_img_alt, total.grad_image[alt], grads)
-    backward_text(model, cache_txt, total.grad_text[orig], grads)
-    if need_txt_alt:
-        backward_text(model, cache_txt_alt, total.grad_text[alt], grads)
+    for view, (_, cache) in img.items():
+        backward_image(model, cache, total.grad_image[rows[view]], grads)
+    for view, (_, cache) in txt.items():
+        backward_text(model, cache, total.grad_text[rows[view]], grads)
     grads["log_tau"] = np.asarray(total.grad_log_tau)
 
     for g in grads.values():
@@ -347,12 +318,8 @@ def train_step(
     """
     value, grads, term_values = loss_and_grads(model, batch, loss_cfg, rng)
 
-    skip = set()
-    dropped = {f"txt.hidden.{i}" for i in model.config.dropped_text_layers}
-    for key in grads:
-        mod = module_of(key)
-        if mod in model.frozen or mod in dropped:
-            skip.add(key)
+    inert = model.inert_modules()
+    skip = {key for key in grads if module_of(key) in inert}
     optimizer.step(model.params, grads, lr, skip=skip)
     if model.params["log_tau"] < LOG_TAU_MIN:
         model.params["log_tau"] = np.array(LOG_TAU_MIN)

@@ -23,7 +23,6 @@ from tbpslab.model import (
     clone_model,
     init_model,
     parameter_count,
-    with_dropped_text_layers,
 )
 from tbpslab.numerics import Rng
 
@@ -207,17 +206,14 @@ class TestSelection:
 
 
 class TestCompressExperiment:
-    def test_series_rows(self, pair):
-        init, trained = pair
+    def test_series_rows(self):
         scores = {"txt.hidden.0": 0.1, "txt.hidden.1": 0.5, "txt.hidden.2": 0.3}
         calls = []
 
         def retrain(mode, chosen):
             calls.append((mode, chosen))
-            model = clone_model(trained)
-            if mode == "drop":
-                ids = sorted(int(m.rsplit(".", 1)[1]) for m in chosen)
-                model = with_dropped_text_layers(model, ids)
+            ids = sorted(int(m.rsplit(".", 1)[1]) for m in chosen) if mode == "drop" else []
+            model = init_model(dataclasses.replace(CFG, dropped_text_layers=tuple(ids)), Rng(1))
             return model, 0.8 - 0.1 * len(chosen)
 
         rows = compress_experiment([0, 1, 2], "drop", scores, retrain)

@@ -134,6 +134,19 @@ class TestExitCodes:
         assert main(["train", "--set", "bogus.key=1"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["file", "set"])
+    def test_unknown_loss_term_is_named_not_missing(self, source, tmp_path, capsys):
+        if source == "file":
+            path = tmp_path / "exp.yaml"
+            path.write_text("loss:\n  weights: {n_itc: 1.0, ss_x: 0.5}\n")
+            args = ["--config", str(path)]
+        else:
+            args = ["--set", "loss.weights={n_itc: 1.0, ss_x: 0.5}"]
+        assert main(["train", *args, "--outdir", str(tmp_path / "never")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "unknown loss term 'ss_x'" in err
+        assert "missing" not in err
+
     def test_unknown_preset_is_config_error(self):
         assert main(["train", "--preset", "nope"]) == 1
 
@@ -151,6 +164,17 @@ class TestExitCodes:
         rc = main(["eval", "--checkpoint", "/no/ckpt", "--data", "/no/data.jsonl"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", *MICRO, "--outdir", str(out)]) == 0
+        ckpt = out / "final.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-8])
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", "/no/data.jsonl"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "cut short in tensor 'txt.out.b' (40 of 48 bytes)" in err
 
     def test_validation_precedes_side_effects(self, tmp_path):
         out = tmp_path / "never"

@@ -1,6 +1,8 @@
 """Encoder tests: shapes, init determinism, hand-derived backward vs finite
 differences through both towers, freezing, layer drops, and checkpoint io."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from tbpslab.model import (
     module_of,
     parameter_count,
     save_checkpoint,
-    with_dropped_text_layers,
 )
 from tbpslab.numerics import Rng, ShapeMismatch, check_param_grads
 
@@ -320,23 +321,22 @@ class TestFreezeAndDrop:
         m = init_model(SMALL, Rng(2))
         _, tokens = small_batch(rng)
         full, _ = encode_text(m, tokens)
-        dropped = with_dropped_text_layers(m, [1])
+        dropped = init_model(dataclasses.replace(SMALL, dropped_text_layers=(1,)), Rng(2))
         cut, _ = encode_text(dropped, tokens)
         assert not np.allclose(full, cut)
 
     def test_dropped_layer_reduces_trainable_count(self):
         m = init_model(SMALL, Rng(2))
         full = parameter_count(m, trainable_only=True)
-        dropped = with_dropped_text_layers(m, [0])
+        dropped = init_model(dataclasses.replace(SMALL, dropped_text_layers=(0,)), Rng(2))
         h = SMALL.hidden_dim
         assert parameter_count(dropped, trainable_only=True) == full - (h * h + h)
         # total count keeps the tensors; they are just inert
         assert parameter_count(dropped) == parameter_count(m)
 
     def test_drop_all_layers_still_encodes(self, rng):
-        m = init_model(SMALL, Rng(2))
         _, tokens = small_batch(rng)
-        bare = with_dropped_text_layers(m, [0, 1])
+        bare = init_model(dataclasses.replace(SMALL, dropped_text_layers=(0, 1)), Rng(2))
         z, _ = encode_text(bare, tokens)
         assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-9)
 
@@ -380,6 +380,24 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            (lambda b: b[:12], r"cut short in header length \(4 of 8 bytes\)"),
+            (lambda b: b[:30], r"cut short in header \(14 of \d+ bytes\)"),
+            (lambda b: b[:-8], r"cut short in tensor 'txt.out.b' \(24 of 32 bytes\)"),
+            (lambda b: b + b"\x00" * 8, "8 bytes past the last tensor"),
+        ],
+        ids=["length-field", "header", "payload", "trailing"],
+    )
+    def test_corrupt_file_names_path_and_problem(self, tmp_path, damage, problem):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(SMALL, Rng(31)), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=problem) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_clone_is_independent(self):
         m = init_model(SMALL, Rng(31))

@@ -207,6 +207,13 @@ class TestAssembleBatch:
             ({"n_itc": 1.0, "ss_i": 0.3, "mvs_i": 0.3}, True, False),
             ({"n_itc": 1.0, "mvs_t": 0.3}, False, True),
             ({"n_itc": 1.0, "ss_it": 0.3, "mvs_i": 0.0}, True, True),
+            ({"n_itc": 1.0, "ss_i": 0.3}, True, False),
+            ({"n_itc": 1.0, "ss_t": 0.3}, False, True),
+            ({"n_itc": 1.0, "ss_it": 0.3}, True, True),
+            ({"n_itc": 1.0, "mvs_i": 0.3}, True, False),
+            ({"n_itc": 1.0, "mvs_it": 0.3}, True, True),
+            ({"n_itc": 1.0, "r_itc": 0.3}, False, False),
+            ({"n_itc": 1.0, "c_itc": 0.3}, False, False),
         ],
     )
     def test_builds_only_consumed_views(self, weights, want_img, want_txt):
@@ -244,6 +251,7 @@ FULL_STACK = LossConfig(
         "c_itc": 0.3,
     }
 )
+WITH_SS_IT = LossConfig(weights={**FULL_STACK.weights, "ss_it": 0.2})
 
 
 class TestStepGradients:
@@ -253,15 +261,29 @@ class TestStepGradients:
     def test_full_stack_fd(self):
         model, samples = small_setup(dropout=0.2)
         batch = synthetic_batch(samples[:3], Rng(1))
-        step_rng = Rng(77)
+        for cfg in (FULL_STACK, WITH_SS_IT):
+            value, grads, terms = loss_and_grads(model, batch, cfg, Rng(77))
+            assert set(terms) == set(cfg.weights)
 
-        value, grads, terms = loss_and_grads(model, batch, FULL_STACK, step_rng)
-        assert set(terms) == set(FULL_STACK.weights)
+            def loss():
+                return loss_and_grads(model, batch, cfg, Rng(77))[0]
 
-        def loss():
-            return loss_and_grads(model, batch, FULL_STACK, Rng(77))[0]
+            assert check_param_grads(loss, model.params, grads) < 1e-4
 
-        assert check_param_grads(loss, model.params, grads) < 1e-4
+    def test_ss_it_is_ss_i_plus_ss_t(self):
+        # one weight on both view contrasts equals that weight on each
+        model, samples = small_setup(dropout=0.2)
+        batch = assemble_batch(samples[:4], AugmentConfig(image_mode="pool", text_mode="stack"), Rng(6))
+        w = 0.6
+        v_it, g_it, t_it = loss_and_grads(model, batch, LossConfig(weights={"ss_it": w}), Rng(3))
+        v_two, g_two, t_two = loss_and_grads(
+            model, batch, LossConfig(weights={"ss_i": w, "ss_t": w}), Rng(3)
+        )
+        assert abs(v_it - v_two) < 1e-12
+        assert t_it["ss_it"] == t_two["ss_i"] + t_two["ss_t"]
+        assert set(g_it) == set(g_two)
+        for key in g_two:
+            assert np.max(np.abs(g_it[key] - g_two[key])) < 1e-12, key
 
     def test_soft_label_and_diagonal_paths_run(self):
         model, samples = small_setup()
