@@ -5,18 +5,19 @@ stacks; text is a list of lowercase tokens. Every op takes an explicit
 `Rng` and is a pure function of (input, params, rng state), so
 augmentation is bit-reproducible.
 
-Each image op is split in two steps. Its *draw* step reads one sample's
-stream and returns that sample's parameters (geometry, factors, order,
-angle, kernel or noise); its *apply* step is pure pixel work over a stack,
-one parameter entry per image. The public single-image functions are
-draw + apply on a stack of one, so every op has one pixel implementation.
-`augment_image` gives each sample its own stream and reads it in the
-order a lone image would: the pool or trivial selection, then per stage
-the gate and the op's draws. The views therefore do not depend on the
-batch a sample is in, and the draw order is part of the contract: moving
-a draw changes every augmented view.
+Each modality has one op table. An image op in `IMAGE_OPS` is split in
+two steps. Its *draw* step reads one sample's stream and returns that
+sample's parameters (geometry, factors, order, angle, kernel or noise);
+its parameter defaults live only in the draw function's signature. Its
+*apply* step is pure pixel work over a stack, one parameter entry per
+image. `run_op` is draw + apply on a stack of one, so every op has one
+pixel implementation. `augment_image` gives each sample its own stream
+and reads it in the order a lone image would: the pool or trivial
+selection, then per stage the gate and the op's draws. The views
+therefore do not depend on the batch a sample is in, and the draw order
+is part of the contract: moving a draw changes every augmented view.
 
-Image policy catalog (production defaults in PRODUCTION_POLICIES; the
+Image policy catalog (production gates in PRODUCTION_POLICIES; the
 production pool keeps only the policies that help at retrieval time, while
 the harmful ones stay implemented for ablations):
 
@@ -30,15 +31,17 @@ the harmful ones stay implemented for ablations):
     flip_vertical         mirror rows
     rotate                rotation up to +/- degrees, bilinear, zero-padded
 
-Text policy catalog: synonym replacement, random insertion, random swap,
-random deletion (the EDA quartet, each tuned by alpha), a uniform `eda`
-selector over the four, and back translation behind a pluggable Translator.
+Text op table `TEXT_OPS`: synonym replacement, random insertion, random
+swap, random deletion (the EDA quartet, each tuned by alpha) and a uniform
+`eda` selector over the four; the lexicon ops read the built-in synonym
+table. Back translation needs a translation model, which the package does
+not ship, so it is not an op.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from typing import Callable, NamedTuple
 
@@ -61,10 +64,6 @@ class PoolTooSmall(ValueError):
     """Fewer pool members than the number of draws requested."""
 
 
-class TranslatorFailure(RuntimeError):
-    """A translator could not produce a round trip; callers fall back."""
-
-
 # ---------------------------------------------------------------------------
 # image helpers
 
@@ -77,14 +76,6 @@ def _check_stack(images) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("image contains NaN or Inf")
     return arr
-
-
-def _one(img) -> np.ndarray:
-    """A single (H, W, 3) image as a checked stack of one."""
-    arr = np.asarray(img)
-    if arr.ndim != 3:
-        raise BadParam(f"image must be (H, W, 3), got {arr.shape}")
-    return _check_stack(arr[None])
 
 
 def _bilinear_sample(stack: np.ndarray, ys: np.ndarray, xs: np.ndarray, fill=None) -> np.ndarray:
@@ -184,16 +175,6 @@ def _apply_crop(stack: np.ndarray, geoms) -> np.ndarray:
     return out
 
 
-def random_resized_crop(
-    img,
-    rng: Rng,
-    scale_min: float = 0.9,
-    ratio: tuple = (3 / 4, 4 / 3),
-) -> np.ndarray:
-    """Crop a random area fraction in [scale_min, 1] and resize back."""
-    return _run_op("random_resized_crop", img, rng, scale_min=scale_min, ratio=ratio)
-
-
 def sample_erase_geometry(
     h: int, w: int, rng: Rng, area: tuple = (0.10, 0.20), ratio: tuple = (0.3, 10 / 3)
 ):
@@ -216,9 +197,9 @@ def sample_erase_geometry(
     return None
 
 
-def _draw_erase(h: int, w: int, rng: Rng, area=(0.10, 0.20), ratio=(0.3, 10 / 3)):
+def _draw_erase(h: int, w: int, rng: Rng, **params):
     """(top, left, noise), the noise drawn right after the rectangle."""
-    geom = sample_erase_geometry(h, w, rng, area, ratio)
+    geom = sample_erase_geometry(h, w, rng, **params)
     if geom is None:
         return None
     top, left, eh, ew = geom
@@ -234,16 +215,6 @@ def _apply_erase(stack: np.ndarray, drawn) -> np.ndarray:
     return out
 
 
-def random_erase(
-    img,
-    rng: Rng,
-    area: tuple = (0.10, 0.20),
-    ratio: tuple = (0.3, 10 / 3),
-) -> np.ndarray:
-    """Erase a random rectangle, filling it with uniform noise."""
-    return _run_op("random_erase", img, rng, area=area, ratio=ratio)
-
-
 def _draw_nothing(h: int, w: int, rng: Rng) -> None:
     return None
 
@@ -251,11 +222,6 @@ def _draw_nothing(h: int, w: int, rng: Rng) -> None:
 def _apply_grayscale(stack: np.ndarray, _params) -> np.ndarray:
     lum = stack @ _LUMA
     return np.repeat(lum[..., None], 3, axis=-1)
-
-
-def grayscale(img, rng: Rng | None = None) -> np.ndarray:
-    """Collapse to luminance, replicated over the three channels."""
-    return _run_op("random_grayscale", img, rng)
 
 
 def _draw_blur(h: int, w: int, rng: Rng, kernel: int = 3, sigma: tuple = (0.1, 2.0)):
@@ -280,11 +246,6 @@ def _apply_blur(stack: np.ndarray, kernels) -> np.ndarray:
     out = sum(k[:, i] * padded[:, i : i + h] for i in range(size))
     padded = np.pad(out, ((0, 0), (0, 0), (half, half), (0, 0)), mode="edge")
     return sum(k[:, i] * padded[:, :, i : i + w] for i in range(size))
-
-
-def gaussian_blur(img, rng: Rng, kernel: int = 3, sigma: tuple = (0.1, 2.0)) -> np.ndarray:
-    """Separable Gaussian blur with a sigma drawn uniformly from `sigma`."""
-    return _run_op("gaussian_blur", img, rng, kernel=kernel, sigma=sigma)
 
 
 def _draw_bcs(h: int, w: int, rng: Rng, x: float = 0.1):
@@ -320,12 +281,6 @@ def _apply_bcs(stack: np.ndarray, drawn) -> np.ndarray:
                 nxt[sel] = lum + (img - lum) * fs
         out = nxt
     return np.clip(out, 0.0, 1.0)
-
-
-def color_jitter_bcs(img, rng: Rng, x: float = 0.1) -> np.ndarray:
-    """Brightness, contrast, saturation jitter with factors in [1-x, 1+x],
-    applied in a random order, clamped to [0, 1]."""
-    return _run_op("color_jitter_bcs", img, rng, x=x)
 
 
 def _rgb_to_hsv(img: np.ndarray) -> np.ndarray:
@@ -378,19 +333,6 @@ def _apply_hue(stack: np.ndarray, deltas) -> np.ndarray:
     return np.clip(_hsv_to_rgb(hsv), 0.0, 1.0)
 
 
-def color_jitter_hue(img, rng: Rng, x: float = 0.1) -> np.ndarray:
-    """Rotate hue by a uniform draw from [-x, x] of the color circle."""
-    return _run_op("color_jitter_hue", img, rng, x=x)
-
-
-def flip_horizontal(img, rng: Rng | None = None) -> np.ndarray:
-    return _run_op("flip_horizontal", img, rng)
-
-
-def flip_vertical(img, rng: Rng | None = None) -> np.ndarray:
-    return _run_op("flip_vertical", img, rng)
-
-
 def _draw_rotate(h: int, w: int, rng: Rng, degrees: float = 15.0):
     """(cos, sin) of an angle drawn uniformly from [-degrees, +degrees]."""
     if degrees < 0:
@@ -407,12 +349,6 @@ def _apply_rotate(stack: np.ndarray, angles) -> np.ndarray:
     src_y = sin * xx + cos * yy + cy
     src_x = cos * xx - sin * yy + cx
     return np.clip(_bilinear_sample(stack, src_y, src_x, fill=0.0), 0.0, 1.0)
-
-
-def rotate(img, rng: Rng, degrees: float = 15.0) -> np.ndarray:
-    """Rotate by a uniform angle in [-degrees, +degrees] about the center,
-    bilinear interpolation, zero padding outside the source raster."""
-    return _run_op("rotate", img, rng, degrees=degrees)
 
 
 class ImageOp(NamedTuple):
@@ -433,9 +369,13 @@ IMAGE_OPS = {
 }
 
 
-def _run_op(name: str, img, rng: Rng, **params) -> np.ndarray:
-    """One op, ungated, on one image: draw, then apply to a stack of one."""
-    stack = _one(img)
+def run_op(name: str, img, rng: Rng, **params) -> np.ndarray:
+    """One op, ungated, on one (H, W, 3) image: draw, then apply to a
+    stack of one. Parameters not given take the draw step's defaults."""
+    arr = np.asarray(img)
+    if arr.ndim != 3:
+        raise BadParam(f"image must be (H, W, 3), got {arr.shape}")
+    stack = _check_stack(arr[None])
     op = IMAGE_OPS[name]
     return op.apply(stack, [op.draw(*stack.shape[1:3], rng, **params)])[0]
 
@@ -463,18 +403,22 @@ class AugPolicy:
             raise BadParam(f"probability must be in [0, 1], got {self.probability}")
 
 
-# Production parameterization. Gaussian blur, hue jitter and vertical flip
-# hurt retrieval and are kept out of the production pool below.
+# Production gate probabilities; each op runs with its draw step's default
+# parameters. Gaussian blur, hue jitter and vertical flip hurt retrieval and
+# are kept out of the production pool below.
 PRODUCTION_POLICIES = {
-    "random_resized_crop": AugPolicy("random_resized_crop", {"scale_min": 0.9}),
-    "random_erase": AugPolicy("random_erase", {"area": (0.10, 0.20)}, probability=0.5),
-    "random_grayscale": AugPolicy("random_grayscale", probability=0.1),
-    "gaussian_blur": AugPolicy("gaussian_blur", {"kernel": 3, "sigma": (0.1, 2.0)}),
-    "color_jitter_bcs": AugPolicy("color_jitter_bcs", {"x": 0.1}),
-    "color_jitter_hue": AugPolicy("color_jitter_hue", {"x": 0.1}),
-    "flip_horizontal": AugPolicy("flip_horizontal", probability=0.5),
-    "flip_vertical": AugPolicy("flip_vertical", probability=0.5),
-    "rotate": AugPolicy("rotate", {"degrees": 15.0}),
+    name: AugPolicy(name, probability=p)
+    for name, p in {
+        "random_resized_crop": 1.0,
+        "random_erase": 0.5,
+        "random_grayscale": 0.1,
+        "gaussian_blur": 1.0,
+        "color_jitter_bcs": 1.0,
+        "color_jitter_hue": 1.0,
+        "flip_horizontal": 0.5,
+        "flip_vertical": 0.5,
+        "rotate": 1.0,
+    }.items()
 }
 
 PRODUCTION_IMAGE_POOL = (
@@ -499,11 +443,6 @@ TRIVIAL_SPACE = {
     "flip_vertical": (0.0, 1.0, lambda m: ({}, m)),
     "rotate": (0.0, 30.0, lambda m: ({"degrees": m}, 1.0)),
 }
-
-
-def apply_policy(img, policy: AugPolicy, rng: Rng) -> np.ndarray:
-    """Run one gated policy on one image."""
-    return _apply_stage(_one(img), [policy], [rng])[0]
 
 
 def _apply_stage(stack: np.ndarray, policies, rngs) -> np.ndarray:
@@ -609,8 +548,9 @@ def parse_lexicon(text: str) -> Lexicon:
     return Lexicon(entries)
 
 
+@cache
 def builtin_lexicon() -> Lexicon:
-    """The small synonym table shipped with the package."""
+    """The small synonym table shipped with the package, read once."""
     text = resources.files("tbpslab").joinpath("assets/lexicon.txt").read_text("utf-8")
     return parse_lexicon(text)
 
@@ -690,28 +630,18 @@ def eda(tokens, lexicon: Lexicon, rng: Rng, alpha: float = 0.05) -> list:
     return random_deletion(tokens, rng, alpha)
 
 
-class IdentityTranslator:
-    """A perfect round trip: the production default for back translation."""
-
-    def translate(self, tokens) -> list:
-        return list(tokens)
+def _on_builtin_lexicon(op):
+    return lambda tokens, rng, alpha: op(tokens, builtin_lexicon(), rng, alpha)
 
 
-def back_translate(tokens, translator, rng: Rng, p: float = 0.1) -> list:
-    """With probability p, run the tokens through the translator.
-
-    A TranslatorFailure falls back to the original tokens with a warning
-    instead of aborting the batch.
-    """
-    if not (0 <= p <= 1):
-        raise BadParam(f"p must be in [0, 1], got {p}")
-    if float(rng.random()) >= p:
-        return list(tokens)
-    try:
-        return list(translator.translate(list(tokens)))
-    except TranslatorFailure as exc:
-        warnings.warn(f"back translation failed ({exc}); keeping original text")
-        return list(tokens)
+# name -> op(tokens, rng, alpha)
+TEXT_OPS = {
+    "synonym_replacement": _on_builtin_lexicon(synonym_replacement),
+    "random_insertion": _on_builtin_lexicon(random_insertion),
+    "random_swap": random_swap,
+    "random_deletion": random_deletion,
+    "eda": _on_builtin_lexicon(eda),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -725,17 +655,16 @@ class AugmentConfig:
     image_mode: 'pool' draws pool_k distinct policies per image, 'stack'
     applies every pool policy in order, 'trivial' applies one policy at a
     random magnitude, 'none' disables image augmentation. text_mode:
-    'stack' applies text_ops in order, 'eda' applies one EDA op, 'none'
-    disables text augmentation.
+    'stack' applies text_ops (names in TEXT_OPS) in order, 'eda' applies
+    one EDA op, 'none' disables text augmentation.
     """
 
     image_mode: str = "pool"
     image_pool: tuple = PRODUCTION_IMAGE_POOL
     pool_k: int = 2
     text_mode: str = "stack"
-    text_ops: tuple = ("back_translate", "random_deletion")
+    text_ops: tuple = ("random_deletion",)
     alpha: float = 0.05
-    back_translate_p: float = 0.1
 
     def __post_init__(self):
         if self.image_mode not in ("pool", "stack", "trivial", "none"):
@@ -746,17 +675,14 @@ class AugmentConfig:
             if name not in IMAGE_OPS:
                 raise BadParam(f"unknown image op '{name}' in pool")
         for name in self.text_ops:
-            if name not in ("back_translate", "synonym_replacement", "random_insertion",
-                            "random_swap", "random_deletion", "eda"):
-                raise BadParam(f"unknown text op '{name}'")
+            if name not in TEXT_OPS:
+                raise BadParam(f"unknown text op '{name}'; known: {sorted(TEXT_OPS)}")
         if not (0 < self.alpha < 1):
             raise BadParam(f"alpha must be in (0, 1), got {self.alpha}")
         if not (isinstance(self.pool_k, int) and 1 <= self.pool_k <= len(self.image_pool)):
             raise BadParam(
                 f"pool_k must be an integer in [1, {len(self.image_pool)}], got {self.pool_k}"
             )
-        if not (0 <= self.back_translate_p <= 1):
-            raise BadParam(f"back_translate_p must be in [0, 1], got {self.back_translate_p}")
 
 
 def augment_image(images, cfg: AugmentConfig, rngs) -> np.ndarray:
@@ -786,23 +712,11 @@ def augment_image(images, cfg: AugmentConfig, rngs) -> np.ndarray:
     return out
 
 
-def augment_text(tokens, cfg: AugmentConfig, lexicon: Lexicon, translator, rng: Rng) -> list:
-    """Produce one augmented view of a token sequence."""
+def augment_text(tokens, cfg: AugmentConfig, rng: Rng) -> list:
+    """One augmented view of a token sequence: the ops `text_mode`
+    selects, in order, all reading `rng`."""
+    ops = {"none": (), "eda": ("eda",), "stack": cfg.text_ops}[cfg.text_mode]
     out = list(tokens)
-    if cfg.text_mode == "eda":
-        out = eda(out, lexicon, rng, cfg.alpha)
-    elif cfg.text_mode == "stack":
-        for op in cfg.text_ops:
-            if op == "back_translate":
-                out = back_translate(out, translator, rng, cfg.back_translate_p)
-            elif op == "synonym_replacement":
-                out = synonym_replacement(out, lexicon, rng, cfg.alpha)
-            elif op == "random_insertion":
-                out = random_insertion(out, lexicon, rng, cfg.alpha)
-            elif op == "random_swap":
-                out = random_swap(out, rng, cfg.alpha)
-            elif op == "random_deletion":
-                out = random_deletion(out, rng, cfg.alpha)
-            elif op == "eda":
-                out = eda(out, lexicon, rng, cfg.alpha)
+    for name in ops:
+        out = TEXT_OPS[name](out, rng, cfg.alpha)
     return out

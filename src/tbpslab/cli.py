@@ -209,7 +209,9 @@ def _selftest_checks():
         model = init_model(cfg, Rng(12))
         batch = assemble_batch(ds.train[:4], AugmentConfig(), Rng(13))
         lcfg = LossConfig(
-            weights={"n_itc": 1.0, "ss_i": 0.4, "mvs_i": 0.5, "r_itc": 0.7, "c_itc": 0.1}
+            weights={
+                "n_itc": 1.0, "ss_i": 0.4, "mvs_i": 0.5, "mvs_t": 0.3, "r_itc": 0.7, "c_itc": 0.1
+            }
         )
         _, grads, _ = loss_and_grads(model, batch, lcfg, Rng(14))
         coord_rng = Rng(15)

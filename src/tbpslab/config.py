@@ -63,9 +63,8 @@ DEFAULTS: dict = {
         "image_mode": "none",
         "pool_k": 2,
         "text_mode": "none",
-        "text_ops": ["back_translate", "random_deletion"],
+        "text_ops": ["random_deletion"],
         "alpha": 0.05,
-        "back_translate_p": 0.1,
     },
     # from-scratch toy training wants a much hotter schedule than the
     # recipe's fine-tuning defaults (those live on Schedule itself)
@@ -170,33 +169,50 @@ def _apply_override(config: dict, parts, value, full_path) -> dict:
     return out
 
 
+def _read_file(file: str) -> dict:
+    try:
+        with open(file, "r", encoding="utf-8") as fh:
+            loaded = yaml.safe_load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {file}") from None
+    except yaml.YAMLError as e:
+        raise ConfigError(f"config file {file}: {e}") from None
+    if loaded is None:
+        loaded = {}
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config file {file} must hold a mapping")
+    return loaded
+
+
 def resolve(
     preset: str = "",
     file: str | None = None,
     overrides=(),
 ) -> dict:
-    """Layer defaults, preset, YAML file, and dotted overrides."""
+    """Layer defaults, preset, YAML file, and dotted overrides.
+
+    The `preset` key always names the preset applied: a file's `preset:`
+    is its preset layer when no preset is passed, a file naming another
+    preset than the one passed is rejected, and an override may not set it.
+    """
+    loaded = {} if file is None else _read_file(file)
+    if "preset" in loaded:
+        if preset and loaded["preset"] != preset:
+            raise ConfigError(
+                f"config file {file} names preset {loaded['preset']!r}, not {preset!r}"
+            )
+        preset = loaded["preset"]
+    if preset not in ("", *PRESETS):
+        raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     config = copy.deepcopy(DEFAULTS)
     if preset:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset '{preset}'; choose from {sorted(PRESETS)}")
         config = merge(config, PRESETS[preset])
         config["preset"] = preset
-    if file is not None:
-        try:
-            with open(file, "r", encoding="utf-8") as fh:
-                loaded = yaml.safe_load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {file}") from None
-        except yaml.YAMLError as e:
-            raise ConfigError(f"config file {file}: {e}") from None
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {file} must hold a mapping")
-        config = merge(config, loaded)
+    config = merge(config, loaded)
     for text in overrides:
         parts, value = _parse_override(text)
+        if parts == ["preset"]:
+            raise ConfigError("'preset' cannot be overridden; choose it with --preset")
         config = _apply_override(config, parts, value, text.split("=", 1)[0])
     validate(config)
     return config

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 from . import config as config_mod
 from .analyze import c1_scores, c2_score, combined_scores, compress_experiment
-from .augment import builtin_lexicon
 from .config import Experiment, fingerprint, materialize, merge
 from .data import ToyDataset, build_vocab, few_shot, generate_toy
 from .evaluate import RetrievalReport, evaluate_model
@@ -67,15 +66,7 @@ def run_training(exp: Experiment, dataset: ToyDataset | None = None, out_dir=Non
         freeze(model, exp.freeze_modules)
 
     started = time.time()
-    fitres = fit(
-        model,
-        dataset.train,
-        exp.loss,
-        exp.augment,
-        exp.train,
-        rng.named("fit"),
-        lexicon=builtin_lexicon(),
-    )
+    fitres = fit(model, dataset.train, exp.loss, exp.augment, exp.train, rng.named("fit"))
     elapsed = time.time() - started
     report = evaluate_model(model, dataset.test)
     fp = fingerprint(exp.raw)

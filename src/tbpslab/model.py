@@ -386,10 +386,43 @@ def save_checkpoint(model: Model, path):
             fh.write(np.ascontiguousarray(model.params[k], dtype="<f8").tobytes())
 
 
+def _header_problem(header) -> str | None:
+    """What is wrong with the structure of a parsed checkpoint header, if
+    anything."""
+    if not isinstance(header, dict):
+        return "header is not a mapping"
+    if "version" not in header:
+        return "header has no 'version'"
+    if header["version"] != 1:
+        return f"unsupported version {header['version']!r}"
+    for key, kind, name in (
+        ("config", dict, "a mapping"),
+        ("frozen", list, "a list"),
+        ("tensors", list, "a list"),
+    ):
+        if key not in header:
+            return f"header has no '{key}'"
+        if not isinstance(header[key], kind):
+            return f"header '{key}' is not {name}"
+    if not all(isinstance(m, str) for m in header["frozen"]):
+        return "header 'frozen' holds a non-string"
+    for spec in header["tensors"]:
+        ok = (
+            isinstance(spec, dict)
+            and isinstance(spec.get("key"), str)
+            and isinstance(spec.get("shape"), list)
+            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in spec["shape"])
+        )
+        if not ok:
+            return f"bad tensor entry {spec!r} (want a string 'key' and a 'shape' list of sizes)"
+    return None
+
+
 def load_checkpoint(path) -> Model:
     """Read a file written by save_checkpoint. A file that is not one, is
-    cut short anywhere or carries bytes past its last tensor raises a
-    ValueError naming the file and the problem."""
+    cut short anywhere, has a header of the wrong structure or carries
+    bytes past its last tensor raises a ValueError naming the file and the
+    problem."""
     with open(path, "rb") as fh:
         data = fh.read()
     pos = 0
@@ -412,8 +445,13 @@ def load_checkpoint(path) -> Model:
         header = json.loads(blob.decode("utf-8"))
     except ValueError as e:
         raise ValueError(f"checkpoint {path}: unreadable header ({e})") from None
-    if header["version"] != 1:
-        raise ValueError(f"checkpoint {path}: unsupported version {header['version']}")
+    problem = _header_problem(header)
+    if problem is not None:
+        raise ValueError(f"checkpoint {path}: {problem}")
+    try:
+        config = load(ModelConfig, header["config"], "model")
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"checkpoint {path}: bad model config ({e})") from None
     params = {}
     for spec in header["tensors"]:
         shape = tuple(spec["shape"])
@@ -422,11 +460,7 @@ def load_checkpoint(path) -> Model:
         params[spec["key"]] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
     if pos != len(data):
         raise ValueError(f"checkpoint {path}: {len(data) - pos} bytes past the last tensor")
-    return Model(
-        config=load(ModelConfig, header["config"], "model"),
-        params=params,
-        frozen=set(header["frozen"]),
-    )
+    return Model(config=config, params=params, frozen=set(header["frozen"]))
 
 
 def clone_model(model: Model) -> Model:

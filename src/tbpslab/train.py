@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from .augment import AugmentConfig, IdentityTranslator, Lexicon, augment_image, augment_text, tokenize
+from .augment import AugmentConfig, augment_image, augment_text, tokenize
 from .losses import EmbeddingBatch, LossConfig, LossResult
 from .model import Model, backward_image, backward_text, encode_image, encode_text, module_of
 from .numerics import Rng, softmax_rows
@@ -142,8 +142,6 @@ def assemble_batch(
     samples,
     aug_cfg: AugmentConfig,
     rng: Rng,
-    lexicon: Lexicon | None = None,
-    translator=None,
     loss_cfg: LossConfig | None = None,
     tokens=None,
 ) -> Batch:
@@ -158,8 +156,6 @@ def assemble_batch(
     """
     if len(samples) < 2:
         raise BatchTooSmall(f"need at least 2 samples, got {len(samples)}")
-    if translator is None:
-        translator = IdentityTranslator()
     if tokens is None:
         tokens = [tokenize(s.caption) for s in samples]
     want_img, want_txt = views_needed(loss_cfg)
@@ -170,8 +166,7 @@ def assemble_batch(
         images_aug = augment_image(images, aug_cfg, [c.named("image") for c in children])
     if want_txt:
         tokens_aug = [
-            augment_text(toks, aug_cfg, lexicon, translator, c.named("text"))
-            for toks, c in zip(tokens, children)
+            augment_text(toks, aug_cfg, c.named("text")) for toks, c in zip(tokens, children)
         ]
     return Batch(
         images=images,
@@ -365,8 +360,6 @@ def fit(
     aug_cfg: AugmentConfig,
     tcfg: TrainConfig,
     rng: Rng,
-    lexicon: Lexicon | None = None,
-    translator=None,
     on_step=None,
 ) -> FitResult:
     """Train in place over identity-labelled samples.
@@ -397,8 +390,6 @@ def fit(
                 [samples[i] for i in chosen],
                 aug_cfg,
                 rng.named(f"aug-{epoch}-{bi}"),
-                lexicon=lexicon,
-                translator=translator,
                 loss_cfg=loss_cfg,
                 tokens=[captions[i] for i in chosen],
             )

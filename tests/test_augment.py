@@ -4,37 +4,27 @@ import numpy as np
 import pytest
 
 from tbpslab.augment import (
+    IMAGE_OPS,
     AugmentConfig,
     AugPolicy,
     BadParam,
     EmptyPool,
-    IdentityTranslator,
     PoolTooSmall,
     PRODUCTION_IMAGE_POOL,
     PRODUCTION_POLICIES,
     TRIVIAL_SPACE,
-    TranslatorFailure,
-    apply_policy,
+    _apply_stage,
     augment_image,
     augment_text,
-    back_translate,
     builtin_lexicon,
-    color_jitter_bcs,
-    color_jitter_hue,
     eda,
-    flip_horizontal,
-    flip_vertical,
-    gaussian_blur,
-    grayscale,
     parse_lexicon,
     pool_select,
     random_deletion,
-    random_erase,
     random_insertion,
-    random_resized_crop,
     random_swap,
-    rotate,
     round_half_up,
+    run_op,
     sample_crop_geometry,
     sample_erase_geometry,
     synonym_replacement,
@@ -51,17 +41,7 @@ def toy_image(rng):
     return rng.uniform(0.0, 1.0, size=(H, W, 3))
 
 
-ALL_OPS = [
-    lambda img, rng: random_resized_crop(img, rng),
-    lambda img, rng: random_erase(img, rng),
-    lambda img, rng: grayscale(img, rng),
-    lambda img, rng: gaussian_blur(img, rng),
-    lambda img, rng: color_jitter_bcs(img, rng),
-    lambda img, rng: color_jitter_hue(img, rng),
-    lambda img, rng: flip_horizontal(img, rng),
-    lambda img, rng: flip_vertical(img, rng),
-    lambda img, rng: rotate(img, rng),
-]
+ALL_OPS = [lambda img, rng, name=name: run_op(name, img, rng) for name in IMAGE_OPS]
 
 
 class TestImageOpsGeneric:
@@ -112,7 +92,7 @@ class TestCropGeometry:
 
     def test_crop_of_constant_image_is_constant(self, rng):
         img = np.full((H, W, 3), 0.25)
-        out = random_resized_crop(img, Rng(3))
+        out = run_op("random_resized_crop", img, Rng(3))
         assert np.abs(out - 0.25).max() < 1e-12
 
 
@@ -132,7 +112,7 @@ class TestEraseGeometry:
 
     def test_erase_changes_rectangle_only(self, rng):
         img = np.full((H, W, 3), 0.5)
-        out = random_erase(img, Rng(5))
+        out = run_op("random_erase", img, Rng(5))
         changed = np.argwhere((out != img).any(axis=2))
         assert changed.size > 0
         ys, xs = changed[:, 0], changed[:, 1]
@@ -145,7 +125,7 @@ class TestColorOps:
         img = np.zeros((2, 2, 3))
         img[0, 0] = [1.0, 0.0, 0.0]
         img[0, 1] = [0.0, 1.0, 0.0]
-        out = grayscale(img)
+        out = run_op("random_grayscale", img, None)
         assert abs(out[0, 0, 0] - 0.299) < 1e-12
         assert abs(out[0, 1, 1] - 0.587) < 1e-12
         assert np.abs(out[:, :, 0] - out[:, :, 1]).max() < 1e-12
@@ -153,37 +133,37 @@ class TestColorOps:
 
     def test_bcs_zero_magnitude_is_identity(self, rng):
         img = toy_image(rng)
-        assert np.abs(color_jitter_bcs(img, Rng(1), x=0.0) - img).max() < 1e-12
+        assert np.abs(run_op("color_jitter_bcs", img, Rng(1), x=0.0) - img).max() < 1e-12
 
     def test_hue_zero_shift_round_trips(self, rng):
         img = toy_image(rng)
-        assert np.abs(color_jitter_hue(img, Rng(1), x=0.0) - img).max() < 1e-7
+        assert np.abs(run_op("color_jitter_hue", img, Rng(1), x=0.0) - img).max() < 1e-7
 
     def test_hue_shift_keeps_gray_fixed(self):
         img = np.full((4, 4, 3), 0.3)
-        out = color_jitter_hue(img, Rng(2), x=0.4)
+        out = run_op("color_jitter_hue", img, Rng(2), x=0.4)
         assert np.abs(out - img).max() < 1e-12
 
     def test_blur_of_constant_is_constant(self):
         img = np.full((8, 8, 3), 0.6)
-        assert np.abs(gaussian_blur(img, Rng(1)) - 0.6).max() < 1e-12
+        assert np.abs(run_op("gaussian_blur", img, Rng(1)) - 0.6).max() < 1e-12
 
 
 class TestGeometryOps:
     def test_flips_are_involutions(self, rng):
         img = toy_image(rng)
-        assert np.array_equal(flip_horizontal(flip_horizontal(img)), img)
-        assert np.array_equal(flip_vertical(flip_vertical(img)), img)
+        for name in ("flip_horizontal", "flip_vertical"):
+            assert np.array_equal(run_op(name, run_op(name, img, None), None), img)
 
     def test_flip_moves_known_pixel(self):
         img = np.zeros((2, 3, 3))
         img[0, 0] = 1.0
-        assert flip_horizontal(img)[0, 2, 0] == 1.0
-        assert flip_vertical(img)[1, 0, 0] == 1.0
+        assert run_op("flip_horizontal", img, None)[0, 2, 0] == 1.0
+        assert run_op("flip_vertical", img, None)[1, 0, 0] == 1.0
 
     def test_zero_rotation_is_identity(self, rng):
         img = toy_image(rng)
-        assert np.abs(rotate(img, Rng(1), degrees=0.0) - img).max() < 1e-12
+        assert np.abs(run_op("rotate", img, Rng(1), degrees=0.0) - img).max() < 1e-12
 
     def test_rotation_pads_corners_with_zero(self):
         img = np.ones((32, 32, 3))
@@ -192,7 +172,7 @@ class TestGeometryOps:
             def uniform(self, low=0.0, high=1.0, size=None):
                 return high  # always the max angle
 
-        out = rotate(img, FixedAngle(0), degrees=45.0)
+        out = run_op("rotate", img, FixedAngle(0), degrees=45.0)
         assert out[0, 0].max() == 0.0 and out[-1, -1].max() == 0.0
 
 
@@ -234,8 +214,9 @@ class TestSelectors:
         img = toy_image(rng)
         off = AugPolicy("flip_horizontal", probability=0.0)
         on = AugPolicy("flip_horizontal", probability=1.0)
-        assert np.array_equal(apply_policy(img, off, Rng(1)), img)
-        assert np.array_equal(apply_policy(img, on, Rng(1)), flip_horizontal(img))
+        assert np.array_equal(_apply_stage(img[None].copy(), [off], [Rng(1)])[0], img)
+        flipped = run_op("flip_horizontal", img, None)
+        assert np.array_equal(_apply_stage(img[None].copy(), [on], [Rng(1)])[0], flipped)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(BadParam):
@@ -333,28 +314,6 @@ class TestTextOps:
         out = eda(["red", "shirt", "and", "blue", "pants"], self.lex, Rng(6), alpha=0.2)
         assert isinstance(out, list) and len(out) >= 1
 
-    def test_back_translate_gating(self):
-        tokens = ["red", "shirt"]
-        assert back_translate(tokens, IdentityTranslator(), Rng(1), p=0.0) == tokens
-        assert back_translate(tokens, IdentityTranslator(), Rng(1), p=1.0) == tokens
-
-    def test_back_translate_paraphrase(self):
-        class Paraphrase:
-            def translate(self, tokens):
-                return [{"red": "crimson", "shirt": "top"}.get(t, t) for t in tokens]
-
-        out = back_translate(["red", "shirt", "xyz"], Paraphrase(), Rng(1), p=1.0)
-        assert out == ["crimson", "top", "xyz"]
-
-    def test_back_translate_failure_falls_back(self):
-        class Broken:
-            def translate(self, tokens):
-                raise TranslatorFailure("no route")
-
-        with pytest.warns(UserWarning, match="keeping original"):
-            out = back_translate(["red"], Broken(), Rng(1), p=1.0)
-        assert out == ["red"]
-
 
 class TestPipelines:
     def test_image_modes_run_and_reproduce(self, rng):
@@ -374,7 +333,7 @@ class TestPipelines:
     def test_text_none_is_identity_upto_truncation(self):
         cfg = AugmentConfig(text_mode="none")
         tokens = ["red", "shirt"]
-        out = augment_text(tokens, cfg, builtin_lexicon(), IdentityTranslator(), Rng(9))
+        out = augment_text(tokens, cfg, Rng(9))
         assert out == tokens
 
     def test_config_validation(self):

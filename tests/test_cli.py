@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -9,6 +10,8 @@ import pytest
 
 from tbpslab.cli import main
 from tbpslab.data import load_jsonl, oracle_rank1
+from tbpslab.model import ModelConfig, init_model, save_checkpoint
+from tbpslab.numerics import Rng
 
 MICRO = [
     "--set", "data.n_identities=10",
@@ -62,6 +65,29 @@ class TestTrainCommand:
         assert main(["train", *MICRO]) == 0
         (run,) = os.listdir(tmp_path / "root")
         assert "-" in run  # timestamp-fingerprint
+
+
+TEXT_VIEWS = [
+    "--set", "loss.weights={n_itc: 1.0, ss_t: 0.3}",
+    "--set", "augment.text_mode=stack",
+]
+
+
+@pytest.mark.parametrize(
+    "knob",
+    [
+        "augment.text_mode=eda",
+        "augment.text_mode=none",
+        "augment.text_ops=[random_swap]",
+        "augment.alpha=0.3",
+    ],
+)
+def test_text_augment_knob_changes_model(knob, tmp_path):
+    # with a term that reads the text view, every text knob reaches the model
+    base, turned = tmp_path / "base", tmp_path / "turned"
+    assert main(["train", *MICRO, *TEXT_VIEWS, "--outdir", str(base)]) == 0
+    assert main(["train", *MICRO, *TEXT_VIEWS, "--set", knob, "--outdir", str(turned)]) == 0
+    assert (base / "final.ckpt").read_bytes() != (turned / "final.ckpt").read_bytes()
 
 
 class TestGenerateAndEval:
@@ -175,6 +201,20 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and "cut short in tensor 'txt.out.b' (40 of 48 bytes)" in err
+
+    def test_malformed_checkpoint_header_is_runtime_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(ModelConfig(vocab=("red",)), Rng(1)), ckpt)
+        data = ckpt.read_bytes()
+        (hlen,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16 : 16 + hlen])
+        header["tensors"][0]["shape"] = "4x4"  # numpy cannot size this
+        blob = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + hlen :])
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", "/no/data.jsonl"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "bad tensor entry" in err
 
     def test_validation_precedes_side_effects(self, tmp_path):
         out = tmp_path / "never"

@@ -58,6 +58,23 @@ class TestLayering:
         config = resolve(preset="simplified")
         assert config["loss"]["weights"] == {"n_itc": 1.0, "r_itc": 0.7}
 
+    def test_file_preset_is_the_preset_layer(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("preset: tbps-clip\n")
+        assert resolve(file=str(path)) == resolve(preset="tbps-clip")
+        assert resolve(preset="tbps-clip", file=str(path)) == resolve(preset="tbps-clip")
+
+    def test_file_preset_other_than_passed_rejected(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("preset: nitc\n")
+        with pytest.raises(ConfigError, match="nitc"):
+            resolve(preset="tbps-clip", file=str(path))
+
+    @pytest.mark.parametrize("preset", ["", "tbps-clip"], ids=["no-preset", "with-preset"])
+    def test_preset_override_rejected(self, preset):
+        with pytest.raises(ConfigError, match="--preset"):
+            resolve(preset=preset, overrides=["preset=nitc"])
+
     def test_resolve_does_not_mutate_defaults(self):
         before = repr(DEFAULTS)
         resolve(preset="tbps-clip", overrides=["train.epochs=3"])
@@ -117,6 +134,7 @@ class TestValidation:
             "augment.pool_k=0",
             "augment.pool_k=-1",
             "augment.pool_k=9",  # the pool holds six ops
+            # the key is gone: rejected as unknown
             "augment.back_translate_p=3.0",
             "augment.back_translate_p=-0.1",
         ],

@@ -2,11 +2,13 @@
 differences through both towers, freezing, layer drops, and checkpoint io."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
 
-from tbpslab.augment import AugmentConfig, IdentityTranslator, augment_text, builtin_lexicon
+from tbpslab.augment import AugmentConfig, augment_text
 from tbpslab.losses import build_labels, n_itc
 from tbpslab.model import (
     MAX_TEXT_TOKENS,
@@ -29,6 +31,19 @@ from tbpslab.model import (
 from tbpslab.numerics import Rng, ShapeMismatch, check_param_grads
 
 VOCAB = ("red", "blue", "shirt", "pants", "hat", "person")
+
+
+def edit_header(edit):
+    """A damage function: rewrite a checkpoint's JSON header with `edit`."""
+
+    def damage(data):
+        (hlen,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16 : 16 + hlen])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        return data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + hlen :]
+
+    return damage
 
 SMALL = ModelConfig(
     embed_dim=4,
@@ -153,7 +168,7 @@ class TestForward:
     def test_augmented_long_caption_capped_at_encode(self):
         # augmentation does not truncate; the encoder is the one cap
         m = init_model(SMALL, Rng(11))
-        view = augment_text(["red"] * 100, AugmentConfig(), builtin_lexicon(), IdentityTranslator(), Rng(8))
+        view = augment_text(["red"] * 100, AugmentConfig(), Rng(8))
         za, cache = encode_text(m, [view])
         zb, _ = encode_text(m, [view[:77]])
         assert len(view) > 77 and cache.lengths[0] == 77
@@ -388,8 +403,15 @@ class TestCheckpoint:
             (lambda b: b[:30], r"cut short in header \(14 of \d+ bytes\)"),
             (lambda b: b[:-8], r"cut short in tensor 'txt.out.b' \(24 of 32 bytes\)"),
             (lambda b: b + b"\x00" * 8, "8 bytes past the last tensor"),
+            (edit_header(lambda h: h.pop("tensors")), "header has no 'tensors'"),
+            (edit_header(lambda h: h.pop("version")), "header has no 'version'"),
+            (edit_header(lambda h: h["tensors"][0].update(shape="4x4")), "bad tensor entry"),
+            (edit_header(lambda h: h["config"].pop("vocab")), "bad model config .*model.vocab"),
         ],
-        ids=["length-field", "header", "payload", "trailing"],
+        ids=[
+            "length-field", "header", "payload", "trailing",
+            "no-tensors", "no-version", "string-shape", "no-vocab",
+        ],
     )
     def test_corrupt_file_names_path_and_problem(self, tmp_path, damage, problem):
         path = tmp_path / "model.ckpt"

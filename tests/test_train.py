@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tbpslab import train
-from tbpslab.augment import AugmentConfig
+from tbpslab.augment import AugmentConfig, builtin_lexicon, eda, tokenize
 from tbpslab.data import ToySpec, build_vocab, generate_toy
 from tbpslab.losses import LossConfig
 from tbpslab.model import (
@@ -227,6 +227,16 @@ class TestAssembleBatch:
         if want_txt:
             assert part.tokens_aug == full.tokens_aug
         assert np.array_equal(part.images, full.images) and part.tokens == full.tokens
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eda_text_views_read_the_builtin_lexicon(self, seed):
+        samples = tiny_corpus().train[:6]
+        batch = assemble_batch(samples, AugmentConfig(text_mode="eda"), Rng(seed))
+        want = [
+            eda(tokenize(s.caption), builtin_lexicon(), Rng(seed).child(i).named("text"), 0.05)
+            for i, s in enumerate(samples)
+        ]
+        assert batch.tokens_aug == want
 
     def test_pretokenized_captions_used(self):
         ds = tiny_corpus()
