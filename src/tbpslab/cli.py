@@ -194,7 +194,8 @@ def _selftest_checks():
 
     from .augment import AugmentConfig
     from .data import ToySpec, build_vocab, generate_toy
-    from .evaluate import retrieval_metrics
+    from .analyze import reset_module
+    from .evaluate import rank1_scorer, retrieval_metrics
     from .losses import LossConfig
     from .model import ModelConfig, init_model, save_checkpoint
     from .train import Schedule, assemble_batch, loss_and_grads
@@ -237,6 +238,24 @@ def _selftest_checks():
         rep = retrieval_metrics(sim, np.array([1]), np.array([9, 1, 9, 1, 9]))
         assert abs(rep.mean_ap - 0.5) < 1e-12 and abs(rep.mean_inp - 0.5) < 1e-12
 
+    def check_scorer():
+        overrides = [
+            "data.n_identities=20", "data.images_per_identity=2",
+            "model.hidden_dim=16", "model.embed_dim=8",
+            "train.epochs=6", "train.batch_size=8",
+        ]
+        run = experiments.run_training(materialize(resolve(overrides=overrides)))
+        samples = run.dataset.train
+        score = rank1_scorer(run.model, samples)
+        probes = [
+            run.model,
+            reset_module(run.model, run.model_init, "img.out"),
+            reset_module(run.model, run.model_init, "txt.hidden.2"),
+        ]
+        got = [score(m) for m in probes]
+        assert got == [evaluate_model(m, samples).rank1 for m in probes], got
+        assert len(set(got)) == len(probes), f"probes do not move Rank-1: {got}"
+
     def check_round_trips():
         with tempfile.TemporaryDirectory() as tmp:
             ds = generate_toy(ToySpec(n_identities=4, images_per_identity=2), Rng(21))
@@ -275,6 +294,7 @@ def _selftest_checks():
         ("analytic gradients match finite differences", check_gradients),
         ("schedule endpoints", check_schedule),
         ("retrieval metric hand case", check_metrics),
+        ("contribution scorer equals evaluate_model", check_scorer),
         ("dataset and checkpoint round trips", check_round_trips),
         ("identical runs are byte-identical", check_reproducible_runs),
     ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import tokenize
-from .model import Model, encode_image, encode_text
+from .model import Model, clone_model, encode_image, encode_text
 from .numerics import ShapeMismatch
 
 
@@ -91,8 +91,10 @@ def retrieval_metrics(sim: np.ndarray, query_ids, gallery_ids) -> RetrievalRepor
             f"ids do not match similarity shape {sim.shape}: "
             f"{len(query_ids)} query ids, {len(gallery_ids)} gallery ids"
         )
+    if np.isnan(sim).any():
+        raise ValueError("similarity holds NaN, which has no rank")
 
-    hits_at = {1: 0, 5: 0, 10: 0}
+    hits_at = {5: 0, 10: 0}
     ap_sum = 0.0
     inp_sum = 0.0
     for qi in range(nq):
@@ -109,7 +111,7 @@ def retrieval_metrics(sim: np.ndarray, query_ids, gallery_ids) -> RetrievalRepor
         inp_sum += n_rel / ranks[-1]
 
     return RetrievalReport(
-        rank1=hits_at[1] / nq,
+        rank1=rank1_rate(sim, query_ids, gallery_ids),
         rank5=hits_at[5] / nq,
         rank10=hits_at[10] / nq,
         mean_ap=float(ap_sum / nq),
@@ -117,6 +119,14 @@ def retrieval_metrics(sim: np.ndarray, query_ids, gallery_ids) -> RetrievalRepor
         n_queries=nq,
         n_gallery=ng,
     )
+
+
+def rank1_rate(sim: np.ndarray, query_ids, gallery_ids) -> float:
+    """Share of queries whose top-ranked gallery item is relevant. The
+    first maximum of a row is the item `rank_gallery` puts first (a stable
+    sort on negated scores), so ties resolve the same way."""
+    top = np.argmax(sim, axis=1)
+    return int(np.count_nonzero(gallery_ids[top] == query_ids)) / len(query_ids)
 
 
 def unique_images(samples) -> tuple:
@@ -136,12 +146,64 @@ def unique_images(samples) -> tuple:
     return np.stack(images), np.array(ids, dtype=np.int64)
 
 
+@dataclass(frozen=True)
+class Split:
+    """One split as retrieval sees it: the deduplicated image gallery and
+    its identities, and the tokenized captions that query it."""
+
+    gallery: np.ndarray
+    gallery_ids: np.ndarray
+    tokens: list
+    query_ids: np.ndarray
+
+
+def prepare_split(samples) -> Split:
+    gallery, gallery_ids = unique_images(samples)
+    tokens = [tokenize(s.caption) for s in samples]
+    query_ids = np.array([s.identity for s in samples], dtype=np.int64)
+    return Split(gallery, gallery_ids, tokens, query_ids)
+
+
 def evaluate_model(model: Model, samples) -> RetrievalReport:
     """Caption-to-image retrieval over one split: every caption queries the
     deduplicated image gallery."""
-    gallery, gallery_ids = unique_images(samples)
-    g_embed, _ = encode_image(model, gallery)
-    tokens = [tokenize(s.caption) for s in samples]
-    q_embed, _ = encode_text(model, tokens)
-    query_ids = np.array([s.identity for s in samples], dtype=np.int64)
-    return retrieval_metrics(q_embed @ g_embed.T, query_ids, gallery_ids)
+    split = prepare_split(samples)
+    g_embed, _ = encode_image(model, split.gallery)
+    q_embed, _ = encode_text(model, split.tokens)
+    return retrieval_metrics(q_embed @ g_embed.T, split.query_ids, split.gallery_ids)
+
+
+def rank1_scorer(reference: Model, samples):
+    """A function mapping a model to its Rank-1 on `samples`, equal to
+    `evaluate_model(model, samples).rank1`.
+
+    The split is prepared and both towers of `reference` are encoded once.
+    A probe re-encodes a tower only when its config or one of that tower's
+    tensors differs from the reference; otherwise it reuses the reference
+    embeddings. Only those two embedding matrices are kept, next to a copy
+    of `reference`, so later edits to it cannot stale them.
+    """
+    reference = clone_model(reference)
+    split = prepare_split(samples)
+    orphans = np.flatnonzero(~np.isin(split.query_ids, split.gallery_ids))
+    if len(orphans):
+        qi = int(orphans[0])
+        raise NoPositive(f"query {qi} (identity {split.query_ids[qi]}) has no relevant gallery item")
+    ref_g, _ = encode_image(reference, split.gallery)
+    ref_q, _ = encode_text(reference, split.tokens)
+
+    def same_tower(model: Model, prefix: str) -> bool:
+        if model.config != reference.config:
+            return False
+        mine = [k for k in model.params if k.startswith(prefix)]
+        theirs = [k for k in reference.params if k.startswith(prefix)]
+        return sorted(mine) == sorted(theirs) and all(
+            np.array_equal(model.params[k], reference.params[k]) for k in mine
+        )
+
+    def score(model: Model) -> float:
+        g_embed = ref_g if same_tower(model, "img.") else encode_image(model, split.gallery)[0]
+        q_embed = ref_q if same_tower(model, "txt.") else encode_text(model, split.tokens)[0]
+        return rank1_rate(q_embed @ g_embed.T, split.query_ids, split.gallery_ids)
+
+    return score

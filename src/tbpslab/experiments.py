@@ -21,7 +21,7 @@ from . import config as config_mod
 from .analyze import c1_scores, c2_score, combined_scores, compress_experiment
 from .config import Experiment, fingerprint, materialize, merge
 from .data import ToyDataset, build_vocab, few_shot, generate_toy
-from .evaluate import RetrievalReport, evaluate_model
+from .evaluate import RetrievalReport, evaluate_model, rank1_scorer
 from .model import Model, clone_model, freeze, init_model, parameter_count, save_checkpoint
 from .numerics import Rng
 from .train import fit
@@ -237,11 +237,10 @@ def fewshot_curve(exp: Experiment, fractions=(0.1, 0.25, 0.5, 1.0), dataset=None
 def contribution_table(run: RunResult, eps: float = 0.03, modules=None) -> list:
     """Per-module reset damage and interpolation steepness, evaluated on
     the validation identities. C1 is normalized over `modules`, by default
-    every module but the temperature."""
-
-    def metric(model):
-        return evaluate_model(model, run.dataset.val).rank1
-
+    every module but the temperature. Each probe is scored by Rank-1
+    against the trained model's prepared validation split, re-encoding
+    only the tower the probe changed."""
+    metric = rank1_scorer(run.model, run.dataset.val)
     if modules is None:
         modules = [m for m in run.model.module_names() if m != "log_tau"]
     base = metric(run.model)

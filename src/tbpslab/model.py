@@ -143,36 +143,60 @@ def _uniform_init(rng: Rng, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_model(config: ModelConfig, rng: Rng) -> Model:
-    """Fresh parameters, every tensor from its own named substream so the
-    initialization of one tensor never shifts another's draws."""
-    h, d = config.hidden_dim, config.embed_dim
-    params = {}
-
-    def make(key, shape, fan_in):
-        params[key] = _uniform_init(rng.named(key), shape, fan_in)
-
-    ppc = config.patch_pixels
-    make("img.patch.W", (ppc, h), ppc)
-    make("img.patch.b", (h,), ppc)
+def param_table(config: ModelConfig) -> dict:
+    """Every tensor the config builds: key -> (shape, fan-in of its uniform
+    initialization), in initialization order. `log_tau` has no fan-in; it
+    starts at log(tau_init)."""
+    h, d, ppc = config.hidden_dim, config.embed_dim, config.patch_pixels
+    table = {"img.patch.W": ((ppc, h), ppc), "img.patch.b": ((h,), ppc)}
     for i in range(config.image_layers):
-        make(f"img.hidden.{i}.W", (h, h), h)
-        make(f"img.hidden.{i}.b", (h,), h)
-    make("img.out.W", (h, d), h)
-    make("img.out.b", (d,), h)
-
+        table[f"img.hidden.{i}.W"] = ((h, h), h)
+        table[f"img.hidden.{i}.b"] = ((h,), h)
+    table["img.out.W"] = ((h, d), h)
+    table["img.out.b"] = ((d,), h)
     # The embedding table maps one-hot tokens to h-dim rows; its rows are
     # scaled by the receiving width so token signals start at the same
     # magnitude as patch signals.
-    make("txt.embed.W", (config.vocab_rows, h), h)
+    table["txt.embed.W"] = ((config.vocab_rows, h), h)
     for i in range(config.text_layers):
-        make(f"txt.hidden.{i}.W", (h, h), h)
-        make(f"txt.hidden.{i}.b", (h,), h)
-    make("txt.out.W", (h, d), h)
-    make("txt.out.b", (d,), h)
+        table[f"txt.hidden.{i}.W"] = ((h, h), h)
+        table[f"txt.hidden.{i}.b"] = ((h,), h)
+    table["txt.out.W"] = ((h, d), h)
+    table["txt.out.b"] = ((d,), h)
+    table["log_tau"] = ((), None)
+    return table
 
-    params["log_tau"] = np.array(np.log(config.tau_init))
+
+def init_model(config: ModelConfig, rng: Rng) -> Model:
+    """Fresh parameters, every tensor from its own named substream so the
+    initialization of one tensor never shifts another's draws."""
+    params = {}
+    for key, (shape, fan_in) in param_table(config).items():
+        if fan_in is None:
+            params[key] = np.array(np.log(config.tau_init))
+        else:
+            params[key] = _uniform_init(rng.named(key), shape, fan_in)
     return Model(config=config, params=params)
+
+
+def _tensor_set_problem(header, config: ModelConfig) -> str | None:
+    """How the header's tensor index differs from the set `config` builds,
+    if it does."""
+    want = {k: shape for k, (shape, _) in param_table(config).items()}
+    seen = set()
+    for spec in header["tensors"]:
+        key, shape = spec["key"], tuple(spec["shape"])
+        if key in seen:
+            return f"tensor '{key}' listed twice"
+        seen.add(key)
+        if key not in want:
+            return f"unexpected tensor '{key}' (the model config does not build it)"
+        if shape != want[key]:
+            return f"tensor '{key}' has shape {shape}, the model config builds {want[key]}"
+    missing = [k for k in want if k not in seen]
+    if missing:
+        return f"missing tensor '{missing[0]}'"
+    return None
 
 
 def parameter_count(model: Model, trainable_only: bool = False) -> int:
@@ -420,9 +444,9 @@ def _header_problem(header) -> str | None:
 
 def load_checkpoint(path) -> Model:
     """Read a file written by save_checkpoint. A file that is not one, is
-    cut short anywhere, has a header of the wrong structure or carries
-    bytes past its last tensor raises a ValueError naming the file and the
-    problem."""
+    cut short anywhere, has a header of the wrong structure, lists a tensor
+    set other than the one its config builds, or carries bytes past its
+    last tensor raises a ValueError naming the file and the problem."""
     with open(path, "rb") as fh:
         data = fh.read()
     pos = 0
@@ -452,6 +476,9 @@ def load_checkpoint(path) -> Model:
         config = load(ModelConfig, header["config"], "model")
     except (TypeError, ValueError) as e:
         raise ValueError(f"checkpoint {path}: bad model config ({e})") from None
+    problem = _tensor_set_problem(header, config)
+    if problem is not None:
+        raise ValueError(f"checkpoint {path}: {problem}")
     params = {}
     for spec in header["tensors"]:
         shape = tuple(spec["shape"])

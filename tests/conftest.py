@@ -39,3 +39,20 @@ def batches_from_raw(raw_img, raw_txt, ids):
 @pytest.fixture
 def rng():
     return Rng(20240817)
+
+
+# A clip-baseline run small enough for unit tests whose contribution table
+# still has nonzero C1 and C2 rows (the CLI tests' MICRO config scores 0.0
+# everywhere, so it cannot tell two scorers apart).
+PINNING = [
+    "data.n_identities=40", "data.images_per_identity=2",
+    "train.epochs=6", "train.batch_size=16",
+]
+
+
+@pytest.fixture(scope="session")
+def pinning_run():
+    from tbpslab import experiments
+    from tbpslab.config import materialize, resolve
+
+    return experiments.run_training(materialize(resolve(preset="clip-baseline", overrides=PINNING)))

@@ -251,3 +251,27 @@ class TestOnRealEncoders:
         res = c1_scores(init, trained, ["img.patch", "txt.embed"], evaluate)
         assert set(res.scores) == {"img.patch", "txt.embed"}
         assert all(0 <= v <= 1 for v in res.scores.values())
+
+
+class TestContributionTable:
+    def test_rows_equal_rows_of_the_per_probe_evaluation(self, pinning_run):
+        from tbpslab import experiments
+        from tbpslab.evaluate import evaluate_model
+
+        run = pinning_run
+        rows = experiments.contribution_table(run)
+
+        def metric(model):
+            return evaluate_model(model, run.dataset.val).rank1
+
+        modules = [m for m in run.model.module_names() if m != "log_tau"]
+        base = metric(run.model)
+        c1 = c1_scores(run.model_init, run.model, modules, metric)
+        c2 = {m: c2_score(run.model_init, run.model, m, metric, baseline=base) for m in modules}
+        both = combined_scores(c1.scores, c2)
+        expected = [
+            {"module": m, "delta": c1.deltas[m], "c1": c1.scores[m], "c2": c2[m], "combined": both[m]}
+            for m in modules
+        ]
+        assert repr(rows) == repr(expected)
+        assert any(r["c1"] > 0 for r in rows) and any(r["c2"] > 0 for r in rows)

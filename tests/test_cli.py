@@ -216,6 +216,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "bad tensor entry" in err
 
+    def test_checkpoint_without_a_config_tensor_is_runtime_error(self, tmp_path, capsys):
+        model = init_model(ModelConfig(vocab=("red",)), Rng(1))
+        del model.params["img.hidden.0.W"]
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(model, ckpt)
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", "/no/data.jsonl"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "missing tensor 'img.hidden.0.W'" in err
+
     def test_validation_precedes_side_effects(self, tmp_path):
         out = tmp_path / "never"
         assert main(["train", "--set", "train.epochs=0", "--outdir", str(out)]) == 1

@@ -1,20 +1,26 @@
 """Retrieval metric tests: a loop-based reference implementation on random
 problems, hand-computed cases, tie handling, and chance-level sanity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tbpslab import evaluate
+from tbpslab.analyze import interpolate, reset_module
 from tbpslab.data import ToySpec, generate_toy
 from tbpslab.evaluate import (
     EmptyGallery,
     NoPositive,
     RetrievalReport,
     evaluate_model,
+    rank1_rate,
+    rank1_scorer,
     rank_gallery,
     retrieval_metrics,
     unique_images,
 )
-from tbpslab.model import ModelConfig, init_model
+from tbpslab.model import Model, ModelConfig, clone_model, init_model
 from tbpslab.numerics import Rng, ShapeMismatch
 
 
@@ -110,6 +116,10 @@ class TestErrors:
         with pytest.raises(NoPositive, match="identity 3"):
             retrieval_metrics(sim, np.array([3]), np.array([0, 1]))
 
+    def test_nan_similarity_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            retrieval_metrics(np.array([[np.nan, 0.5]]), np.array([1]), np.array([0, 1]))
+
     def test_id_length_mismatch(self):
         with pytest.raises(ShapeMismatch):
             retrieval_metrics(np.zeros((2, 2)), np.array([0]), np.array([0, 0]))
@@ -167,3 +177,89 @@ class TestGalleryAndModelEval:
         rep = RetrievalReport(1, 1, 1, 1, 1, 4, 4)
         text = "\n".join(rep.lines())
         assert "mINP" in text and "stable ties" in text
+
+
+class TestRank1Rate:
+    @staticmethod
+    def per_query_rank1(sim, query_ids, gallery_ids):
+        """The per-query rule `retrieval_metrics` used before: the first
+        item of a stable descending sort decides the hit."""
+        hits = sum(int(gallery_ids[rank_gallery(row)[0]] == q) for row, q in zip(sim, query_ids))
+        return hits / len(query_ids)
+
+    def test_signed_zeros_tie(self):
+        sim = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+        gallery_ids = np.array([0, 1])
+        for query_ids in (np.array([0, 0, 0]), np.array([1, 1, 1])):
+            got = rank1_rate(sim, query_ids, gallery_ids)
+            assert got == self.per_query_rank1(sim, query_ids, gallery_ids)
+        assert rank1_rate(sim, np.array([0, 0, 0]), gallery_ids) == 1.0
+
+    def test_matrices_full_of_ties(self, rng):
+        for trial in range(200):
+            r = rng.child(trial)
+            nq, ng = int(r.integers(1, 9)), int(r.integers(2, 9))
+            gallery_ids = r.integers(0, 3, size=ng)
+            query_ids = gallery_ids[r.integers(0, ng, size=nq)]
+            sim = r.integers(-2, 3, size=(nq, ng)) / 2.0
+            sim[r.random(size=sim.shape) < 0.5] *= -1.0  # signed zeros among the ties
+            sim[int(r.integers(0, nq))] = sim[0, 0]  # a constant row
+            sim[:, int(r.integers(0, ng))] = sim[:, int(r.integers(0, ng))]  # duplicated column
+            got = rank1_rate(sim, query_ids, gallery_ids)
+            assert got == self.per_query_rank1(sim, query_ids, gallery_ids), f"trial {trial}"
+            assert got == retrieval_metrics(sim, query_ids, gallery_ids).rank1
+
+
+def _one_ulp(model, key):
+    out = clone_model(model)
+    out.params[key].flat[0] = np.nextafter(out.params[key].flat[0], np.inf)
+    return out
+
+
+def _probe_models(run):
+    """(name, model, towers the scorer must re-encode) for every probe
+    kind the scorer distinguishes."""
+    init, trained = run.model_init, run.model
+    probes = [("trained", trained, set())]
+    for m in trained.module_names():
+        probes.append((f"reset-{m}", reset_module(trained, init, m), {m.split(".")[0]} - {"log_tau"}))
+    probes.append(("interpolated-img", interpolate(init, trained, "img.hidden.1", 0.37), {"img"}))
+    probes.append(("interpolated-txt", interpolate(init, trained, "txt.embed", 0.62), {"txt"}))
+    probes.append(("ulp-img", _one_ulp(trained, "img.out.b"), {"img"}))
+    probes.append(("ulp-txt", _one_ulp(trained, "txt.hidden.2.W"), {"txt"}))
+    other = Model(
+        config=replace(trained.config, dropped_text_layers=(1,)),
+        params={k: v.copy() for k, v in trained.params.items()},
+    )
+    probes.append(("dropped-text-layer", other, {"img", "txt"}))
+    return probes
+
+
+class TestRank1Scorer:
+    def test_equals_evaluate_model_and_encodes_only_changed_towers(self, pinning_run, monkeypatch):
+        run = pinning_run
+        val = run.dataset.val
+        score = rank1_scorer(run.model, val)
+        encoded = []
+        for tower, name in (("img", "encode_image"), ("txt", "encode_text")):
+            original = getattr(evaluate, name)
+
+            def counting(*args, _tower=tower, _original=original, **kwargs):
+                encoded.append(_tower)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(evaluate, name, counting)
+        rank1s = set()
+        for name, model, changed in _probe_models(run):
+            encoded.clear()
+            got = score(model)
+            assert set(encoded) == changed and len(encoded) == len(changed), name
+            assert got == evaluate_model(model, val).rank1, name
+            rank1s.add(got)
+        assert len(rank1s) > 2  # the probes do move the metric
+
+    def test_rejects_a_query_without_a_positive(self, pinning_run):
+        run = pinning_run
+        orphan = replace(run.dataset.val[0], identity=-1)
+        with pytest.raises(NoPositive, match="identity -1"):
+            rank1_scorer(run.model, [*run.dataset.val, orphan])

@@ -45,6 +45,28 @@ def edit_header(edit):
 
     return damage
 
+
+def edit_tensors(edit):
+    """A damage function: rewrite a checkpoint's tensor dict with `edit`,
+    keeping its header index and payload consistent with each other."""
+
+    def damage(data):
+        (hlen,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16 : 16 + hlen])
+        pos, tensors = 16 + hlen, {}
+        for spec in header["tensors"]:
+            n = 8 * int(np.prod(spec["shape"]))
+            tensors[spec["key"]] = np.frombuffer(data[pos : pos + n], "<f8").reshape(spec["shape"])
+            pos += n
+        edit(tensors)
+        header["tensors"] = [{"key": k, "shape": list(v.shape)} for k, v in sorted(tensors.items())]
+        blob = json.dumps(header).encode("utf-8")
+        payload = b"".join(tensors[k].astype("<f8").tobytes() for k in sorted(tensors))
+        return data[:8] + struct.pack("<Q", len(blob)) + blob + payload
+
+    return damage
+
+
 SMALL = ModelConfig(
     embed_dim=4,
     hidden_dim=5,
@@ -407,10 +429,24 @@ class TestCheckpoint:
             (edit_header(lambda h: h.pop("version")), "header has no 'version'"),
             (edit_header(lambda h: h["tensors"][0].update(shape="4x4")), "bad tensor entry"),
             (edit_header(lambda h: h["config"].pop("vocab")), "bad model config .*model.vocab"),
+            (edit_tensors(lambda t: t.pop("img.hidden.0.W")), "missing tensor 'img.hidden.0.W'"),
+            (
+                edit_tensors(lambda t: t.update({"img.extra.W": np.zeros(2)})),
+                "unexpected tensor 'img.extra.W'",
+            ),
+            (
+                edit_tensors(lambda t: t.update({"img.out.W": np.zeros((3, 3))})),
+                r"tensor 'img.out.W' has shape \(3, 3\), the model config builds \(5, 4\)",
+            ),
+            (
+                edit_header(lambda h: h["tensors"].append(h["tensors"][0])),
+                "tensor 'img.hidden.0.W' listed twice",
+            ),
         ],
         ids=[
             "length-field", "header", "payload", "trailing",
             "no-tensors", "no-version", "string-shape", "no-vocab",
+            "missing-tensor", "extra-tensor", "misshapen-tensor", "duplicate-tensor",
         ],
     )
     def test_corrupt_file_names_path_and_problem(self, tmp_path, damage, problem):
