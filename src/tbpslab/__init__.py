@@ -5,6 +5,17 @@ corpus and reproduces, at toy scale, a full contrastive training recipe:
 a suite of contrastive losses with hand-derived analytic gradients, image and
 text augmentation policies, training tricks, retrieval metrics, and
 model-compression analytics.
+
+Importing the package before numpy pins BLAS to one thread unless the
+caller set a thread count: a multi-threaded BLAS may sum in another order,
+so the trained bytes would depend on the thread count, and its idle threads
+spin on the core the augmentation worker (`prefetch`) runs on.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 __version__ = "0.1.0"

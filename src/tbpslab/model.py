@@ -278,26 +278,38 @@ def encode_image(model: Model, images) -> tuple:
     return z, ImageCache(patches=patches, pre_acts=pre_acts, first=first, pooled=pooled, raw_out=raw)
 
 
-def backward_image(model: Model, cache: ImageCache, grad_embed: np.ndarray, grads: dict):
-    """Accumulate parameter gradients for one encode_image call into `grads`."""
+def backward_image(model: Model, cache: ImageCache, grad_embed: np.ndarray, grads: dict, inert=frozenset()):
+    """Accumulate parameter gradients for one encode_image call into `grads`.
+
+    Modules named in `inert` get no gradient, and the pass stops below the
+    lowest module that does; the other gradients are unchanged."""
     cfg = model.config
     p = model.params
     g_raw = l2_normalize_rows_backward(cache.raw_out, grad_embed)
 
-    _acc(grads, "img.out.W", cache.pooled.T @ g_raw)
-    _acc(grads, "img.out.b", g_raw.sum(axis=0))
+    if "img.out" not in inert:
+        _acc(grads, "img.out.W", cache.pooled.T @ g_raw)
+        _acc(grads, "img.out.b", g_raw.sum(axis=0))
+    chain = ["img.patch"] + [f"img.hidden.{i}" for i in range(cfg.image_layers)]
+    live = [m not in inert for m in chain]
+    if not any(live):
+        return
+    lowest = live.index(True)  # index into `chain`: hidden layer i is i + 1
     g_pooled = g_raw @ p["img.out.W"].T
 
-    n_patches = cache.patches.shape[1]
-    g_act = np.repeat(g_pooled[:, None, :], n_patches, axis=1) / n_patches
+    # mean pooling spreads the gradient evenly over the patches (broadcast)
+    g_act = g_pooled[:, None, :] / cache.patches.shape[1]
     for i in reversed(range(cfg.image_layers)):
         act = cache.pre_acts[i]
-        below = cache.pre_acts[i - 1] if i > 0 else cache.first
         g_z = g_act * (1.0 - act * act)
-        flat_in = below.reshape(-1, below.shape[-1])
-        flat_gz = g_z.reshape(-1, g_z.shape[-1])
-        _acc(grads, f"img.hidden.{i}.W", flat_in.T @ flat_gz)
-        _acc(grads, f"img.hidden.{i}.b", flat_gz.sum(axis=0))
+        if live[i + 1]:
+            below = cache.pre_acts[i - 1] if i > 0 else cache.first
+            flat_in = below.reshape(-1, below.shape[-1])
+            flat_gz = g_z.reshape(-1, g_z.shape[-1])
+            _acc(grads, f"img.hidden.{i}.W", flat_in.T @ flat_gz)
+            _acc(grads, f"img.hidden.{i}.b", flat_gz.sum(axis=0))
+        if lowest == i + 1:
+            return
         g_act = g_z @ p[f"img.hidden.{i}.W"].T
 
     flat_patches = cache.patches.reshape(-1, cache.patches.shape[-1])
@@ -349,13 +361,23 @@ def encode_text(model: Model, token_lists, train: bool = False, rng: Rng | None 
     )
 
 
-def backward_text(model: Model, cache: TextCache, grad_embed: np.ndarray, grads: dict):
-    """Accumulate parameter gradients for one encode_text call into `grads`."""
+def backward_text(model: Model, cache: TextCache, grad_embed: np.ndarray, grads: dict, inert=frozenset()):
+    """Accumulate parameter gradients for one encode_text call into `grads`.
+
+    Modules named in `inert` get no gradient, and the pass stops below the
+    lowest module that does; the other gradients are unchanged. Dropped
+    layers are not in the cache, so they never get one."""
     p = model.params
     g_raw = l2_normalize_rows_backward(cache.raw_out, grad_embed)
 
-    _acc(grads, "txt.out.W", cache.pooled.T @ g_raw)
-    _acc(grads, "txt.out.b", g_raw.sum(axis=0))
+    if "txt.out" not in inert:
+        _acc(grads, "txt.out.W", cache.pooled.T @ g_raw)
+        _acc(grads, "txt.out.b", g_raw.sum(axis=0))
+    chain = ["txt.embed"] + [f"txt.hidden.{i}" for i, *_ in cache.acts]
+    live = [m not in inert for m in chain]
+    if not any(live):
+        return
+    lowest = live.index(True)  # index into `chain`: kept layer pos is pos + 1
     g_pooled = g_raw @ p["txt.out.W"].T
 
     g_rows = np.repeat(g_pooled / cache.lengths[:, None], cache.lengths, axis=0)
@@ -364,10 +386,13 @@ def backward_text(model: Model, cache: TextCache, grad_embed: np.ndarray, grads:
         if mask is not None:
             g_rows = g_rows * mask
         g_z = g_rows * (1.0 - pre * pre)
-        # input to layer i is the previous layer's post-mask output
-        below = cache.acts[pos - 1][3] if pos > 0 else cache.embedded
-        _acc(grads, f"txt.hidden.{i}.W", below.T @ g_z)
-        _acc(grads, f"txt.hidden.{i}.b", g_z.sum(axis=0))
+        if live[pos + 1]:
+            # input to layer i is the previous layer's post-mask output
+            below = cache.acts[pos - 1][3] if pos > 0 else cache.embedded
+            _acc(grads, f"txt.hidden.{i}.W", below.T @ g_z)
+            _acc(grads, f"txt.hidden.{i}.b", g_z.sum(axis=0))
+        if lowest == pos + 1:
+            return
         g_rows = g_z @ p[f"txt.hidden.{i}.W"].T
 
     g_table = np.zeros_like(p["txt.embed.W"])
@@ -445,8 +470,10 @@ def _header_problem(header) -> str | None:
 def load_checkpoint(path) -> Model:
     """Read a file written by save_checkpoint. A file that is not one, is
     cut short anywhere, has a header of the wrong structure, lists a tensor
-    set other than the one its config builds, or carries bytes past its
-    last tensor raises a ValueError naming the file and the problem."""
+    set other than the one its config builds, freezes a module the model
+    does not have, or carries bytes past its last tensor raises a
+    ValueError naming the file and the problem. The parameters come back
+    in `param_table` order, as `init_model` builds them."""
     with open(path, "rb") as fh:
         data = fh.read()
     pos = 0
@@ -479,15 +506,21 @@ def load_checkpoint(path) -> Model:
     problem = _tensor_set_problem(header, config)
     if problem is not None:
         raise ValueError(f"checkpoint {path}: {problem}")
-    params = {}
+    read = {}
     for spec in header["tensors"]:
         shape = tuple(spec["shape"])
         count = int(np.prod(shape)) if shape else 1
         buf = take(8 * count, f"tensor '{spec['key']}'")
-        params[spec["key"]] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+        read[spec["key"]] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
     if pos != len(data):
         raise ValueError(f"checkpoint {path}: {len(data) - pos} bytes past the last tensor")
-    return Model(config=config, params=params, frozen=set(header["frozen"]))
+    # the file stores keys sorted; the model holds them in initialization order
+    params = {k: read[k] for k in param_table(config)}
+    model = Model(config=config, params=params, frozen=set(header["frozen"]))
+    unknown = sorted(model.frozen - set(model.module_names()))
+    if unknown:
+        raise ValueError(f"checkpoint {path}: frozen list names unknown module '{unknown[0]}'")
+    return model
 
 
 def clone_model(model: Model) -> Model:

@@ -10,21 +10,27 @@ terms are combined linearly and pushed through the encoder backward
 passes, one per encode call, summing parameter gradients.
 
 The optimizer skips frozen modules and dropped text layers entirely: their
-tensors keep their exact bytes, which the freeze tests pin down.
+tensors keep their exact bytes, which the freeze tests pin down. The
+backward passes compute no gradient for them either.
+
+When a run builds augmented image views, `fit` has a worker process
+(`prefetch.ViewWorker`) build them a few steps ahead.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import losses
+from . import losses, prefetch
 from .augment import AugmentConfig, augment_image, augment_text, tokenize
 from .losses import EmbeddingBatch, LossConfig, LossResult
 from .model import Model, backward_image, backward_text, encode_image, encode_text, module_of
 from .numerics import Rng, softmax_rows
+from .prefetch import ViewWorker, image_streams
 
 LOG_TAU_MIN = math.log(0.01)
 
@@ -144,6 +150,7 @@ def assemble_batch(
     rng: Rng,
     loss_cfg: LossConfig | None = None,
     tokens=None,
+    images_aug=None,
 ) -> Batch:
     """Augmented views for one batch.
 
@@ -152,21 +159,24 @@ def assemble_batch(
     does not depend on the rest of the batch. Only the views that
     `loss_cfg`'s active terms consume are built; the others are None.
     Without a loss config both views are built. `tokens`, when given,
-    are the samples' captions already tokenized.
+    are the samples' captions already tokenized; `images_aug`, when given,
+    are the image views already built from the same streams
+    (`prefetch.ViewWorker`).
     """
     if len(samples) < 2:
         raise BatchTooSmall(f"need at least 2 samples, got {len(samples)}")
     if tokens is None:
         tokens = [tokenize(s.caption) for s in samples]
     want_img, want_txt = views_needed(loss_cfg)
-    children = [rng.child(i) for i in range(len(samples))]
     images = np.stack([s.image for s in samples])
-    images_aug = tokens_aug = None
-    if want_img:
-        images_aug = augment_image(images, aug_cfg, [c.named("image") for c in children])
+    tokens_aug = None
+    if not want_img:
+        images_aug = None
+    elif images_aug is None:
+        images_aug = augment_image(images, aug_cfg, image_streams(rng, len(samples)))
     if want_txt:
         tokens_aug = [
-            augment_text(toks, aug_cfg, c.named("text")) for toks, c in zip(tokens, children)
+            augment_text(toks, aug_cfg, rng.child(i).named("text")) for i, toks in enumerate(tokens)
         ]
     return Batch(
         images=images,
@@ -195,7 +205,10 @@ def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
     views `losses.TERM_VIEWS` names, places its gradients on those rows,
     combines the terms with the configured weights, and backpropagates
     through each encode call. Dropout streams derive from `rng` by name, so
-    the same rng reproduces the same masks.
+    the same rng reproduces the same masks. The model's inert modules
+    (`Model.inert_modules`) get no gradient, and the backward pass stops
+    below the lowest module that does; every other gradient is bit-equal
+    to the full pass.
 
     Returns (value, grads, term_values).
     """
@@ -285,10 +298,11 @@ def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
         raise NonFiniteLoss(f"loss became {total.value}")
 
     grads: dict = {}
+    inert = model.inert_modules()
     for view, (_, cache) in img.items():
-        backward_image(model, cache, total.grad_image[rows[view]], grads)
+        backward_image(model, cache, total.grad_image[rows[view]], grads, inert)
     for view, (_, cache) in txt.items():
-        backward_text(model, cache, total.grad_text[rows[view]], grads)
+        backward_text(model, cache, total.grad_text[rows[view]], grads, inert)
     grads["log_tau"] = np.asarray(total.grad_log_tau)
 
     for g in grads.values():
@@ -367,6 +381,11 @@ def fit(
     Epoch order, augmentation, and dropout all derive from named child
     streams of `rng`, so one seed fixes the whole run. A trailing partial
     batch is kept when it still holds two samples and dropped otherwise.
+    When the active terms read augmented image views, a worker process
+    builds the views of the next steps while one trains
+    (`prefetch.ViewWorker`); the views and the run are byte-identical to
+    building them in process. The worker is stopped before `fit` returns
+    or raises.
     """
     if len(samples) < 2:
         raise BatchTooSmall(f"need at least 2 training samples, got {len(samples)}")
@@ -379,19 +398,28 @@ def fit(
         warmup_frac=tcfg.warmup_frac,
     )
     optimizer = AdamW(weight_decay=tcfg.weight_decay)
-    captions = [tokenize(s.caption) for s in samples]
-    history = []
-    step = 0
+    # (epoch, index in epoch, sample indices, augmentation stream) per step
+    plan = []
     for epoch in range(tcfg.epochs):
         order = rng.named(f"shuffle-{epoch}").permutation(len(samples))
         for bi in range(steps_per_epoch):
             chosen = order[bi * tcfg.batch_size : (bi + 1) * tcfg.batch_size]
+            plan.append((epoch, bi, chosen, rng.named(f"aug-{epoch}-{bi}")))
+    captions = [tokenize(s.caption) for s in samples]
+    history = []
+    ahead = views_needed(loss_cfg)[0] and aug_cfg.image_mode != "none" and prefetch.available()
+    with (
+        ViewWorker(samples, aug_cfg, [(chosen, aug_rng) for _, _, chosen, aug_rng in plan])
+        if ahead else nullcontext()
+    ) as worker:
+        for step, (epoch, bi, chosen, aug_rng) in enumerate(plan):
             batch = assemble_batch(
                 [samples[i] for i in chosen],
                 aug_cfg,
-                rng.named(f"aug-{epoch}-{bi}"),
+                aug_rng,
                 loss_cfg=loss_cfg,
                 tokens=[captions[i] for i in chosen],
+                images_aug=None if worker is None else worker.take(),
             )
             lr = schedule.lr_at(step)
             stats = train_step(
@@ -403,5 +431,4 @@ def fit(
             history.append(row)
             if on_step is not None:
                 on_step(row)
-            step += 1
     return FitResult(model=model, history=history, schedule=schedule)

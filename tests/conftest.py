@@ -5,6 +5,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import tbpslab  # noqa: F401  # before numpy, so the suite runs on the package's one-thread BLAS
+
 import numpy as np
 import pytest
 

@@ -391,6 +391,15 @@ class TestCheckpoint:
             assert np.array_equal(loaded.params[k], m.params[k]), k
             assert loaded.params[k].dtype == np.float64
 
+    def test_round_trip_keeps_parameter_order(self, tmp_path):
+        cfg = dataclasses.replace(SMALL, text_layers=3, dropped_text_layers=(1,))
+        m = init_model(cfg, Rng(31))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(m, path)
+        loaded = load_checkpoint(path)
+        assert list(loaded.params) == list(m.params)
+        assert loaded.module_names() == m.module_names()
+
     def test_same_model_same_bytes(self, tmp_path):
         a = init_model(SMALL, Rng(31))
         b = init_model(SMALL, Rng(31))
@@ -442,11 +451,16 @@ class TestCheckpoint:
                 edit_header(lambda h: h["tensors"].append(h["tensors"][0])),
                 "tensor 'img.hidden.0.W' listed twice",
             ),
+            (
+                edit_header(lambda h: h["frozen"].append("img.nonexistent")),
+                "frozen list names unknown module 'img.nonexistent'",
+            ),
         ],
         ids=[
             "length-field", "header", "payload", "trailing",
             "no-tensors", "no-version", "string-shape", "no-vocab",
             "missing-tensor", "extra-tensor", "misshapen-tensor", "duplicate-tensor",
+            "unknown-frozen",
         ],
     )
     def test_corrupt_file_names_path_and_problem(self, tmp_path, damage, problem):

@@ -16,6 +16,7 @@ from tbpslab.model import (
     clone_model,
     freeze,
     init_model,
+    module_of,
     parameter_count,
 )
 from tbpslab.numerics import Rng, check_param_grads
@@ -238,6 +239,17 @@ class TestAssembleBatch:
         ]
         assert batch.tokens_aug == want
 
+    def test_streams_derived_only_for_built_views(self, rng, monkeypatch):
+        samples = tiny_corpus().train[:5]
+        made = []
+        real = Rng.__init__
+        monkeypatch.setattr(Rng, "__init__", lambda self, *a: made.append(a) or real(self, *a))
+        no_views, image_views = ({"n_itc": 1.0}, {"n_itc": 1.0, "ss_i": 0.3})
+        assemble_batch(samples, AugmentConfig(), rng, loss_cfg=LossConfig(weights=no_views))
+        assert made == []
+        assemble_batch(samples, AugmentConfig(), rng, loss_cfg=LossConfig(weights=image_views))
+        assert len(made) == 2 * len(samples)  # child(i), then its "image" stream
+
     def test_pretokenized_captions_used(self):
         ds = tiny_corpus()
         given = [["red", "shirt"], ["blue"], ["hat"], ["bag", "red"]]
@@ -294,6 +306,29 @@ class TestStepGradients:
         assert set(g_it) == set(g_two)
         for key in g_two:
             assert np.max(np.abs(g_it[key] - g_two[key])) < 1e-12, key
+
+    @pytest.mark.parametrize(
+        "inert",
+        [
+            {"img.patch"},
+            {"img.patch", "img.hidden.0"},
+            {"img.patch", "img.hidden.0", "img.hidden.1"},
+            {"img.hidden.1", "img.out"},
+            {"txt.embed"},
+            {"txt.embed", "txt.hidden.0"},
+            {"txt.hidden.1", "txt.out"},
+            {"img.patch", "txt.embed", "log_tau"},
+        ],
+    )
+    def test_inert_modules_get_no_gradient_and_the_rest_is_bit_equal(self, inert):
+        model, samples = small_setup(dropout=0.2)
+        batch = assemble_batch(samples[:4], AugmentConfig(image_mode="pool", text_mode="stack"), Rng(6))
+        _, full, _ = loss_and_grads(model, batch, WITH_SS_IT, Rng(3))
+        _, part, _ = loss_and_grads(freeze(clone_model(model), inert), batch, WITH_SS_IT, Rng(3))
+        # log_tau's gradient comes from the loss, not the towers: always kept
+        assert set(part) == {k for k in full if module_of(k) not in inert or k == "log_tau"}
+        for key in part:
+            assert np.array_equal(part[key], full[key]), key
 
     def test_soft_label_and_diagonal_paths_run(self):
         model, samples = small_setup()
