@@ -153,12 +153,24 @@ def combined_scores(c1: dict, c2: dict) -> dict:
     return {m: c1[m] + c2[m] for m in c1}
 
 
+def _check_x(x: int, n_modules: int):
+    if not (0 <= x <= n_modules):
+        raise XOutOfRange(f"x must be in [0, {n_modules}], got {x}")
+
+
+def check_series(xs, mode: str, n_modules: int):
+    """Reject a bad compression mode or budget before any retraining."""
+    if mode not in ("freeze", "drop"):
+        raise ValueError(f"mode must be 'freeze' or 'drop', got '{mode}'")
+    for x in xs:
+        _check_x(x, n_modules)
+
+
 def select_layers(scores: dict, x: int) -> tuple:
     """The x modules cheapest to lose: the combination with the smallest
     summed score, ties broken by lexicographic module order. Exhaustive
     over combinations, which the small candidate sets here afford."""
-    if not (0 <= x <= len(scores)):
-        raise XOutOfRange(f"x must be in [0, {len(scores)}], got {x}")
+    _check_x(x, len(scores))
     if x == 0:
         return ()
     best = None
@@ -181,8 +193,7 @@ def compress_experiment(xs, mode: str, scores: dict, retrain) -> list:
 
     Returns one row per x: {"x", "mode", "modules", "metric", "trainable"}.
     """
-    if mode not in ("freeze", "drop"):
-        raise ValueError(f"mode must be 'freeze' or 'drop', got '{mode}'")
+    check_series(xs, mode, len(scores))
     rows = []
     for x in xs:
         chosen = select_layers(scores, x)

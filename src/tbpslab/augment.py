@@ -656,13 +656,14 @@ class AugmentConfig:
     applies every pool policy in order, 'trivial' applies one policy at a
     random magnitude, 'none' disables image augmentation. text_mode:
     'stack' applies text_ops (names in TEXT_OPS) in order, 'eda' applies
-    one EDA op, 'none' disables text augmentation.
+    one EDA op, 'none' disables text augmentation. Both default to 'none',
+    as plain CLIP trains; the presets turn augmentation on.
     """
 
-    image_mode: str = "pool"
+    image_mode: str = "none"
     image_pool: tuple = PRODUCTION_IMAGE_POOL
     pool_k: int = 2
-    text_mode: str = "stack"
+    text_mode: str = "none"
     text_ops: tuple = ("random_deletion",)
     alpha: float = 0.05
 

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import experiments
-from .config import ConfigError, dump_yaml, fingerprint, materialize, resolve
+from .config import PRESETS, ConfigError, dump_yaml, fingerprint, materialize, resolve
 from .data import ParseError, load_jsonl, oracle_rank1, save_jsonl
 from .evaluate import evaluate_model
 from .model import load_checkpoint
@@ -32,7 +32,7 @@ COMPRESS_XS = (0, 1, 2, 3)  # default budgets of a compression series
 
 def _add_config_args(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="FILE", help="YAML config file")
-    p.add_argument("--preset", default="", help="named preset (tbps-clip, simplified, clip-baseline, nitc)")
+    p.add_argument("--preset", default="", help=f"named preset ({', '.join(PRESETS)})")
     p.add_argument(
         "--set",
         dest="overrides",
@@ -208,7 +208,7 @@ def _selftest_checks():
             vocab=build_vocab(ds.train), dropout=0.1,
         )
         model = init_model(cfg, Rng(12))
-        batch = assemble_batch(ds.train[:4], AugmentConfig(), Rng(13))
+        batch = assemble_batch(ds.train[:4], AugmentConfig(image_mode="pool", text_mode="stack"), Rng(13))
         lcfg = LossConfig(
             weights={
                 "n_itc": 1.0, "ss_i": 0.4, "mvs_i": 0.5, "mvs_t": 0.3, "r_itc": 0.7, "c_itc": 0.1

@@ -2,12 +2,11 @@
 command-line overrides, merged in that order.
 
 The resolved configuration is a nested dict with fixed sections (data,
-model, loss, augment, train, plus a few top-level scalars). Every key is
-validated against the schema derived from the component dataclasses, so a
-typo fails loudly instead of silently training the wrong thing. The
-materialize step turns the dict into the component config objects; the
-model section deliberately omits vocabulary and raster size, which come
-from the dataset at run time.
+model, loss, augment, train, plus a few top-level scalars). Each section's
+keys and defaults are the fields of its component dataclass (`SECTIONS`),
+so every key is validated and a typo fails loudly instead of silently
+training the wrong thing. The materialize step turns the dict into the
+component config objects.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import yaml
 
@@ -27,55 +26,29 @@ from .schema import ConfigError, load
 from .train import TrainConfig
 
 
+# Each section is built from its dataclass. The fields listed here are
+# not config keys: the model's raster follows the data section and its
+# vocabulary comes from the corpus at run time, and the image op pool is
+# fixed.
+SECTIONS: dict = {
+    "data": (ToySpec, ()),
+    "model": (ModelConfig, ("image_height", "image_width", "vocab")),
+    "loss": (LossConfig, ()),
+    "augment": (AugmentConfig, ("image_pool",)),
+    "train": (TrainConfig, ()),
+}
+
 DEFAULTS: dict = {
     "seed": 0,
     "preset": "",
     "freeze_modules": [],
-    "data": {
-        "n_identities": 200,
-        "images_per_identity": 3,
-        "captions_per_image": 2,
-        "height": 48,
-        "width": 24,
-        "split_fractions": [0.7, 0.1, 0.2],
-        "color_jitter": 10,
-        "pixel_noise": 5,
-        "max_shift": 2,
-    },
-    "model": {
-        "embed_dim": 32,
-        "hidden_dim": 64,
-        "image_layers": 3,
-        "text_layers": 3,
-        "patch_size": 8,
-        "dropout": 0.0,
-        "tau_init": 0.07,
-        "dropped_text_layers": [],
-    },
-    "loss": {
-        "weights": {"n_itc": 1.0},
-        "tau_s": 0.1,
-        "eps": 1e-8,
-        "soft_label": False,
-        "diagonal_labels": False,
-    },
-    "augment": {
-        "image_mode": "none",
-        "pool_k": 2,
-        "text_mode": "none",
-        "text_ops": ["random_deletion"],
-        "alpha": 0.05,
-    },
-    # from-scratch toy training wants a much hotter schedule than the
-    # recipe's fine-tuning defaults (those live on Schedule itself)
-    "train": {
-        "epochs": 30,
-        "batch_size": 64,
-        "lr_init": 1e-5,
-        "lr_peak": 1e-3,
-        "lr_final": 1e-4,
-        "warmup_frac": 0.1,
-        "weight_decay": 0.02,
+    **{
+        section: {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(cls()).items()
+            if k not in fixed
+        }
+        for section, (cls, fixed) in SECTIONS.items()
     },
 }
 
@@ -214,7 +187,7 @@ def resolve(
         if parts == ["preset"]:
             raise ConfigError("'preset' cannot be overridden; choose it with --preset")
         config = _apply_override(config, parts, value, text.split("=", 1)[0])
-    validate(config)
+    materialize(config)  # component validation runs before any side effects
     return config
 
 
@@ -233,24 +206,17 @@ class Experiment:
     raw: dict  # the resolved dict this was built from
 
 
-def validate(config: dict) -> None:
-    """Materialize every section once, so component validation runs and
-    bad values surface before any side effects."""
-    materialize(config)
-
-
 def materialize(config: dict) -> Experiment:
     try:
-        data = load(ToySpec, config["data"], "data", DEFAULTS["data"])
-        # vocabulary and raster come from the dataset at run time
+        data = load(ToySpec, config["data"], "data")
         model = load(
-            ModelConfig, config["model"], "model", DEFAULTS["model"],
+            ModelConfig, config["model"], "model",
             image_height=data.height, image_width=data.width, vocab=(),
         )
         weights = {k: float(v) for k, v in config["loss"]["weights"].items()}
-        loss = load(LossConfig, config["loss"], "loss", DEFAULTS["loss"], weights=weights)
-        augment = load(AugmentConfig, config["augment"], "augment", DEFAULTS["augment"])
-        train = load(TrainConfig, config["train"], "train", DEFAULTS["train"])
+        loss = load(LossConfig, config["loss"], "loss", weights=weights)
+        augment = load(AugmentConfig, config["augment"], "augment", image_pool=AugmentConfig.image_pool)
+        train = load(TrainConfig, config["train"], "train")
         seed = config["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")

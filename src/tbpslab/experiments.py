@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, replace
 
 from . import config as config_mod
-from .analyze import c1_scores, c2_score, combined_scores, compress_experiment
+from .analyze import c1_scores, c2_score, check_series, combined_scores, compress_experiment
 from .config import Experiment, fingerprint, materialize, merge
 from .data import ToyDataset, build_vocab, few_shot, generate_toy
 from .evaluate import RetrievalReport, evaluate_model, rank1_scorer
@@ -263,8 +263,11 @@ def compression_series(exp: Experiment, xs, mode: str, dataset=None, scores=None
     """Retrain with the x least-contributing text layers frozen or dropped.
 
     x = 0 is the unconstrained config, so with the shared dataset and seed
-    it reproduces the baseline run exactly.
+    it reproduces the baseline run exactly. The candidates are the keys of
+    `scores`, by default the text tower's hidden layers; a bad mode or
+    budget fails before any training run.
     """
+    check_series(xs, mode, exp.model.text_layers if scores is None else len(scores))
     if dataset is None:
         dataset = build_dataset(exp)
     if scores is None:

@@ -236,6 +236,18 @@ def soft_label(labels: LabelMatrix, p_i2t: np.ndarray, p_t2i: np.ndarray) -> Lab
     )
 
 
+def _pair_result(value, h1, h2, s, img: EmbeddingBatch, txt: EmbeddingBatch, tau: float) -> LossResult:
+    """The chain rule shared by the two-direction losses: h1 and h2 are the
+    gradients of the loss w.r.t. the logits S / tau and S^T / tau."""
+    ds = (h1 + h2.T) / tau
+    return LossResult(
+        value=float(value),
+        grad_image=ds @ txt.features,
+        grad_text=ds.T @ img.features,
+        grad_log_tau=float(-(np.sum(h1 * s) + np.sum(h2 * s.T)) / tau),
+    )
+
+
 def n_itc(img: EmbeddingBatch, txt: EmbeddingBatch, labels: LabelMatrix, tau: float) -> LossResult:
     """Identity-aware contrastive loss over both retrieval directions.
 
@@ -261,13 +273,7 @@ def n_itc(img: EmbeddingBatch, txt: EmbeddingBatch, labels: LabelMatrix, tau: fl
     p1, p2 = np.exp(log_p1), np.exp(log_p2)
     h1 = (q1.sum(axis=1, keepdims=True) * p1 - q1) / (2 * n)
     h2 = (q2.sum(axis=1, keepdims=True) * p2 - q2) / (2 * n)
-    ds = (h1 + h2.T) / tau
-    return LossResult(
-        value=float(value),
-        grad_image=ds @ txt.features,
-        grad_text=ds.T @ img.features,
-        grad_log_tau=float(-(np.sum(h1 * s) + np.sum(h2 * s.T)) / tau),
-    )
+    return _pair_result(value, h1, h2, s, img, txt, tau)
 
 
 def r_itc(
@@ -304,13 +310,7 @@ def r_itc(
     k2 = np.sum(p2 * u2, axis=1, keepdims=True)
     h1 = p1 * (u1 - k1) / (2 * n)
     h2 = p2 * (u2 - k2) / (2 * n)
-    ds = (h1 + h2.T) / tau
-    return LossResult(
-        value=float(value),
-        grad_image=ds @ txt.features,
-        grad_text=ds.T @ img.features,
-        grad_log_tau=float(-(np.sum(h1 * s) + np.sum(h2 * s.T)) / tau),
-    )
+    return _pair_result(value, h1, h2, s, img, txt, tau)
 
 
 def c_itc(img: EmbeddingBatch, txt: EmbeddingBatch) -> LossResult:

@@ -15,16 +15,16 @@ class ConfigError(ValueError):
     """Bad configuration: unknown key, wrong type, or invalid value."""
 
 
-def load(cls, values: dict, section: str, required=None, **fixed):
+def load(cls, values: dict, section: str, **fixed):
     """Build the dataclass `cls` from `values`.
 
     Lists become tuples. `fixed` supplies fields that are not read from the
-    dict (the ones filled in at run time). Every key in `required`, by
-    default every other field, must be present; a missing one raises
-    ConfigError naming `section.key`. Keys that are not fields are ignored.
+    dict (the ones filled in at run time). Every other field must be
+    present; a missing one raises ConfigError naming `section.key`. Keys
+    that are not fields are ignored.
     """
     names = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
-    for key in names if required is None else required:
+    for key in names:
         if key not in values:
             raise ConfigError(f"missing config key '{section}.{key}'")
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items() if k in names}

@@ -342,11 +342,13 @@ def train_step(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 25
+    # from-scratch toy training wants a much hotter schedule than the
+    # recipe's fine-tuning defaults (those live on Schedule itself)
+    epochs: int = 30
     batch_size: int = 64
-    lr_init: float = 1e-6
-    lr_peak: float = 1e-4
-    lr_final: float = 5e-6
+    lr_init: float = 1e-5
+    lr_peak: float = 1e-3
+    lr_final: float = 1e-4
     warmup_frac: float = 0.1
     weight_decay: float = 0.02
 

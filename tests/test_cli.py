@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+from tbpslab import experiments
 from tbpslab.cli import main
+from tbpslab.config import materialize, resolve
 from tbpslab.data import load_jsonl, oracle_rank1
 from tbpslab.model import ModelConfig, init_model, save_checkpoint
 from tbpslab.numerics import Rng
@@ -230,6 +232,31 @@ class TestExitCodes:
         out = tmp_path / "never"
         assert main(["train", "--set", "train.epochs=0", "--outdir", str(out)]) == 1
         assert not out.exists()
+
+    def test_compress_budget_out_of_range_fails_before_training(self, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(experiments, "run_training", lambda *a, **k: runs.append(a))
+        assert main(["compress", *MICRO, "--mode", "freeze", "--xs", "0,1,9"]) == 2
+        assert "x must be in [0, 3], got 9" in capsys.readouterr().err
+        assert runs == []
+
+
+@pytest.mark.parametrize(
+    "xs, mode, scores, match",
+    [
+        ((0, 1, 9), "freeze", None, r"\[0, 3\], got 9"),  # three text hidden layers
+        ((0, 3), "drop", {"txt.hidden.0": 0.1, "txt.hidden.2": 0.2}, r"\[0, 2\], got 3"),
+        ((0,), "shrink", None, "shrink"),
+    ],
+    ids=["budget", "budget-of-scores", "mode"],
+)
+def test_compression_series_fails_before_training(xs, mode, scores, match, monkeypatch):
+    runs = []
+    monkeypatch.setattr(experiments, "run_training", lambda *a, **k: runs.append(a))
+    exp = materialize(resolve(overrides=[o for o in MICRO if o != "--set"]))
+    with pytest.raises(ValueError, match=match):
+        experiments.compression_series(exp, xs, mode, scores=scores)
+    assert runs == []
 
 
 def test_console_entry_point():

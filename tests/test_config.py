@@ -1,13 +1,14 @@
 """Configuration layering, override parsing, materialization, and the
 dataclass-derived schema shared with the checkpoint and corpus headers."""
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
 from tbpslab.config import (
     DEFAULTS,
     PRESETS,
+    SECTIONS,
     ConfigError,
     Experiment,
     dump_yaml,
@@ -137,6 +138,8 @@ class TestValidation:
             # the key is gone: rejected as unknown
             "augment.back_translate_p=3.0",
             "augment.back_translate_p=-0.1",
+            # a dataclass field, but not a config key
+            "augment.image_pool=[crop]",
         ],
     )
     def test_bad_augment_values_rejected_at_config_time(self, override):
@@ -221,6 +224,14 @@ class TestSchema:
             written = _as_lists(asdict(obj))
             assert {k: written[k] for k in defaults} == defaults, section
             assert load(type(obj), asdict(obj), section) == obj, section
+
+    def test_sections_are_the_dataclass_defaults(self):
+        exp = materialize(resolve())
+        for section, (cls, fixed) in SECTIONS.items():
+            assert getattr(exp, section) == cls(), section
+            names = {f.name for f in fields(cls)}
+            assert names == set(DEFAULTS[section]) | set(fixed), section
+            assert not set(DEFAULTS[section]) & set(fixed), section
 
     def test_model_config_survives_checkpoint_header(self, tmp_path):
         cfg = ModelConfig(

@@ -190,7 +190,8 @@ class TestForward:
     def test_augmented_long_caption_capped_at_encode(self):
         # augmentation does not truncate; the encoder is the one cap
         m = init_model(SMALL, Rng(11))
-        view = augment_text(["red"] * 100, AugmentConfig(), Rng(8))
+        aug = AugmentConfig(image_mode="pool", text_mode="stack")
+        view = augment_text(["red"] * 100, aug, Rng(8))
         za, cache = encode_text(m, [view])
         zb, _ = encode_text(m, [view[:77]])
         assert len(view) > 77 and cache.lengths[0] == 77

@@ -28,6 +28,7 @@ from tbpslab.train import NonFiniteLoss, TrainConfig, assemble_batch, fit
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 READS_IMAGE_VIEWS = LossConfig(weights={"n_itc": 1.0, "ss_i": 0.3})
+FULL_AUG = AugmentConfig(image_mode="pool", text_mode="stack")
 MICRO = [
     "data.n_identities=10", "data.images_per_identity=2", "data.captions_per_image=2",
     "model.hidden_dim=12", "model.embed_dim=6", "train.epochs=2", "train.batch_size=8",
@@ -47,7 +48,7 @@ def tiny_model(samples):
 
 def fit_reading_views(samples, epochs=2, on_step=None):
     """A small run whose loss reads augmented image views, so it starts a worker."""
-    return fit(tiny_model(samples), samples, READS_IMAGE_VIEWS, AugmentConfig(),
+    return fit(tiny_model(samples), samples, READS_IMAGE_VIEWS, FULL_AUG,
                TrainConfig(epochs=epochs, batch_size=4), Rng(1), on_step=on_step)
 
 
@@ -117,7 +118,7 @@ def test_runs_with_and_without_worker_are_byte_identical(preset, overrides, monk
 @pytest.mark.parametrize(
     "loss, aug",
     [
-        (LossConfig(weights={"n_itc": 1.0}), AugmentConfig()),  # no term reads an image view
+        (LossConfig(weights={"n_itc": 1.0}), FULL_AUG),  # no term reads an image view
         (READS_IMAGE_VIEWS, AugmentConfig(image_mode="none")),  # the view is the image
     ],
 )
@@ -219,7 +220,8 @@ def test_unguarded_script_on_stdin_trains():
         cfg = ModelConfig(embed_dim=6, hidden_dim=12, image_layers=2, text_layers=2)
         model = init_model(dataclasses.replace(cfg, vocab=build_vocab(samples)), Rng(11))
         loss = LossConfig(weights={"n_itc": 1.0, "ss_i": 0.3})
-        fit(model, samples, loss, AugmentConfig(), TrainConfig(epochs=2, batch_size=4), Rng(1))
+        aug = AugmentConfig(image_mode="pool", text_mode="stack")
+        fit(model, samples, loss, aug, TrainConfig(epochs=2, batch_size=4), Rng(1))
         print(model.params["img.out.W"].tobytes().hex())
         """
     )
@@ -247,3 +249,22 @@ def test_blas_threads_default_to_one_and_keep_a_set_value(given, want):
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == want
+
+
+@pytest.mark.parametrize(
+    "code, given, warns",
+    [
+        ("import numpy, tbpslab", {}, True),
+        ("import tbpslab, numpy", {}, False),
+        ("import numpy, tbpslab", {"OPENBLAS_NUM_THREADS": "1"}, False),
+    ],
+    ids=["numpy-first", "tbpslab-first", "thread-count-set"],
+)
+def test_warns_when_numpy_was_imported_first(code, given, warns):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(given, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert ("RuntimeWarning" in done.stderr) == warns, done.stderr
+    assert ("documented" in done.stderr) == warns

@@ -35,6 +35,7 @@ from tbpslab.train import (
 )
 
 NO_AUG = AugmentConfig(image_mode="none", text_mode="none")
+FULL_AUG = AugmentConfig(image_mode="pool", text_mode="stack")
 
 SMALL_MODEL = ModelConfig(
     embed_dim=4,
@@ -186,13 +187,13 @@ class TestAssembleBatch:
 
     def test_production_aug_changes_views(self):
         ds = tiny_corpus()
-        batch = assemble_batch(ds.train[:3], AugmentConfig(), Rng(9))
+        batch = assemble_batch(ds.train[:3], FULL_AUG, Rng(9))
         assert not np.array_equal(batch.images, batch.images_aug)
 
     def test_deterministic(self):
         ds = tiny_corpus()
-        a = assemble_batch(ds.train[:3], AugmentConfig(), Rng(42))
-        b = assemble_batch(ds.train[:3], AugmentConfig(), Rng(42))
+        a = assemble_batch(ds.train[:3], FULL_AUG, Rng(42))
+        b = assemble_batch(ds.train[:3], FULL_AUG, Rng(42))
         assert np.array_equal(a.images_aug, b.images_aug)
         assert a.tokens_aug == b.tokens_aug
 
@@ -219,8 +220,8 @@ class TestAssembleBatch:
     )
     def test_builds_only_consumed_views(self, weights, want_img, want_txt):
         ds = tiny_corpus()
-        full = assemble_batch(ds.train[:5], AugmentConfig(), Rng(4))
-        part = assemble_batch(ds.train[:5], AugmentConfig(), Rng(4), loss_cfg=LossConfig(weights=weights))
+        full = assemble_batch(ds.train[:5], FULL_AUG, Rng(4))
+        part = assemble_batch(ds.train[:5], FULL_AUG, Rng(4), loss_cfg=LossConfig(weights=weights))
         assert (part.images_aug is not None) == want_img
         assert (part.tokens_aug is not None) == want_txt
         if want_img:
@@ -245,9 +246,9 @@ class TestAssembleBatch:
         real = Rng.__init__
         monkeypatch.setattr(Rng, "__init__", lambda self, *a: made.append(a) or real(self, *a))
         no_views, image_views = ({"n_itc": 1.0}, {"n_itc": 1.0, "ss_i": 0.3})
-        assemble_batch(samples, AugmentConfig(), rng, loss_cfg=LossConfig(weights=no_views))
+        assemble_batch(samples, FULL_AUG, rng, loss_cfg=LossConfig(weights=no_views))
         assert made == []
-        assemble_batch(samples, AugmentConfig(), rng, loss_cfg=LossConfig(weights=image_views))
+        assemble_batch(samples, FULL_AUG, rng, loss_cfg=LossConfig(weights=image_views))
         assert len(made) == 2 * len(samples)  # child(i), then its "image" stream
 
     def test_pretokenized_captions_used(self):
@@ -433,7 +434,7 @@ class TestFit:
         for _ in range(2):
             model, train_samples = self._model_for(ds)
             tcfg = TrainConfig(epochs=2, batch_size=4, lr_peak=1e-2)
-            fit(model, train_samples, self.LOSS, AugmentConfig(), tcfg, Rng(7))
+            fit(model, train_samples, self.LOSS, FULL_AUG, tcfg, Rng(7))
             finals.append({k: v.copy() for k, v in model.params.items()})
         for k in finals[0]:
             assert np.array_equal(finals[0][k], finals[1][k]), k
@@ -469,7 +470,7 @@ class TestFit:
         monkeypatch.setattr(train, "tokenize", lambda text: calls.append(text) or text.split())
         ds = tiny_corpus(n_ids=4, images=2)
         model, train_samples = self._model_for(ds)
-        fit(model, train_samples, self.LOSS, AugmentConfig(), TrainConfig(epochs=3, batch_size=4), Rng(1))
+        fit(model, train_samples, self.LOSS, FULL_AUG, TrainConfig(epochs=3, batch_size=4), Rng(1))
         assert sorted(calls) == sorted(s.caption for s in train_samples)
 
     def test_too_few_samples(self):
