@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 configuration or usage error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -41,6 +42,18 @@ def _add_config_args(p: argparse.ArgumentParser):
         metavar="KEY=VALUE",
         help="dotted override, e.g. train.epochs=10 (repeatable)",
     )
+
+
+def _csv_of(kind):
+    """An argparse type: a comma-separated list of `kind` values, as a tuple."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(map(kind, text.split(",")))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}s, got {text!r}") from None
+
+    return parse
 
 
 def _add_outdir_arg(p: argparse.ArgumentParser):
@@ -124,21 +137,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    table_fn = {
-        "augmentation": experiments.ablate_augmentation,
-        "loss": experiments.ablate_loss,
-        "trick": experiments.ablate_tricks,
-    }[args.axis]
-    return _table_command(args, table_fn, f"ablate-{args.axis}")
+    return _table_command(args, experiments.ABLATIONS[args.axis], f"ablate-{args.axis}")
 
 
 def cmd_fewshot(args) -> int:
-    fractions = tuple(float(x) for x in args.fractions.split(","))
-
-    def table_fn(exp):
-        return experiments.fewshot_curve(exp, fractions)
-
-    return _table_command(args, table_fn, "fewshot")
+    return _table_command(args, lambda exp: experiments.fewshot_curve(exp, args.fractions), "fewshot")
 
 
 def cmd_contribution(args) -> int:
@@ -150,10 +153,8 @@ def cmd_contribution(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    xs = tuple(int(x) for x in args.xs.split(","))
-
     def table_fn(exp):
-        return experiments.compression_series(exp, xs, args.mode)
+        return experiments.compression_series(exp, args.xs, args.mode)
 
     return _table_command(args, table_fn, f"compress-{args.mode}")
 
@@ -170,9 +171,7 @@ def cmd_study(args) -> int:
     ds = run.dataset
     scores = experiments.text_layer_scores(run)
     tables = {
-        "ablate-augmentation": lambda: experiments.ablate_augmentation(exp, ds),
-        "ablate-loss": lambda: experiments.ablate_loss(exp, ds),
-        "ablate-trick": lambda: experiments.ablate_tricks(exp, ds),
+        **{f"ablate-{axis}": functools.partial(fn, exp, ds) for axis, fn in experiments.ABLATIONS.items()},
         "fewshot": lambda: experiments.fewshot_curve(exp, dataset=ds),
         "contribution": lambda: experiments.contribution_table(run),
         "compress-freeze": lambda: experiments.compression_series(exp, COMPRESS_XS, "freeze", ds, scores),
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run an ablation table")
-    p.add_argument("axis", choices=("augmentation", "loss", "trick"))
+    p.add_argument("axis", choices=tuple(experiments.ABLATIONS))
     _add_config_args(p)
     _add_outdir_arg(p)
     p.set_defaults(func=cmd_ablate)
@@ -354,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fewshot", help="training-set size curve")
     _add_config_args(p)
     _add_outdir_arg(p)
-    p.add_argument("--fractions", default="0.1,0.25,0.5,1.0")
+    p.add_argument(
+        "--fractions", type=_csv_of(float), default=experiments.FEWSHOT_FRACTIONS,
+        help="comma-separated training-set fractions",
+    )
     p.set_defaults(func=cmd_fewshot)
 
     p = sub.add_parser("contribution", help="per-module contribution scores")
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     _add_outdir_arg(p)
     p.add_argument("--mode", required=True, choices=("freeze", "drop"))
-    p.add_argument("--xs", default=",".join(map(str, COMPRESS_XS)), help="comma-separated budgets")
+    p.add_argument("--xs", type=_csv_of(int), default=COMPRESS_XS, help="comma-separated budgets")
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("study", help="one training run plus every table, in one directory")

@@ -12,6 +12,7 @@ component config objects.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -52,38 +53,17 @@ DEFAULTS: dict = {
     },
 }
 
-_FULL_AUG = {"image_mode": "pool", "text_mode": "stack"}
-
-PRESETS: dict = {
-    # the full recipe: every loss family, every trick, full augmentation
-    "tbps-clip": {
-        "loss": {
-            "weights": {"n_itc": 1.0, "ss_i": 0.35, "mvs_i": 0.45, "r_itc": 0.7, "c_itc": 0.1},
-            "soft_label": True,
-        },
-        "model": {"dropout": 0.05},
-        "freeze_modules": ["img.patch"],
-        "augment": dict(_FULL_AUG),
-    },
-    # the cheap-but-close variant: two loss terms, tricks and augmentation kept
-    "simplified": {
-        "loss": {"weights": {"n_itc": 1.0, "r_itc": 0.7}, "soft_label": True},
-        "model": {"dropout": 0.05},
-        "freeze_modules": ["img.patch"],
-        "augment": dict(_FULL_AUG),
-    },
-    # plain contrastive matching with one-hot diagonal targets, nothing else
-    "clip-baseline": {
-        "loss": {"weights": {"n_itc": 1.0}, "diagonal_labels": True},
-    },
-    # identity-aware targets plus tricks and augmentation, single loss term
-    "nitc": {
-        "loss": {"weights": {"n_itc": 1.0}, "soft_label": True},
-        "model": {"dropout": 0.05},
-        "freeze_modules": ["img.patch"],
-        "augment": dict(_FULL_AUG),
-    },
+# The TBPS-CLIP recipe, each part written once: the five loss weights,
+# the training tricks (each the patch that switches it on) and the full
+# augmentation. The presets below and the one-factor ablation tables in
+# `experiments` are built from these parts.
+RECIPE_WEIGHTS: dict = {"n_itc": 1.0, "ss_i": 0.35, "mvs_i": 0.45, "r_itc": 0.7, "c_itc": 0.1}
+TRICKS: dict = {
+    "dropout": {"model": {"dropout": 0.05}},
+    "lock-patch-proj": {"freeze_modules": ["img.patch"]},
+    "soft-label": {"loss": {"soft_label": True}},
 }
+FULL_AUG: dict = {"image_mode": "pool", "text_mode": "stack"}
 
 
 def merge(base: dict, patch: dict, path="") -> dict:
@@ -102,6 +82,24 @@ def merge(base: dict, patch: dict, path="") -> dict:
         else:
             out[key] = copy.deepcopy(value)
     return out
+
+
+def _preset(terms, *parts) -> dict:
+    """DEFAULTS with the recipe's weights of `terms`, then `parts` merged in order."""
+    weights = {term: RECIPE_WEIGHTS[term] for term in terms}
+    return functools.reduce(merge, parts, merge(DEFAULTS, {"loss": {"weights": weights}}))
+
+
+PRESETS: dict = {
+    # the full recipe: every loss family, every trick, full augmentation
+    "tbps-clip": _preset(RECIPE_WEIGHTS, *TRICKS.values(), {"augment": FULL_AUG}),
+    # the cheap-but-close variant: two loss terms, tricks and augmentation kept
+    "simplified": _preset(("n_itc", "r_itc"), *TRICKS.values(), {"augment": FULL_AUG}),
+    # plain contrastive matching with one-hot diagonal targets, nothing else
+    "clip-baseline": _preset(("n_itc",), {"loss": {"diagonal_labels": True}}),
+    # identity-aware targets plus tricks and augmentation, single loss term
+    "nitc": _preset(("n_itc",), *TRICKS.values(), {"augment": FULL_AUG}),
+}
 
 
 def _parse_override(text: str) -> tuple:
@@ -177,10 +175,8 @@ def resolve(
         preset = loaded["preset"]
     if preset not in ("", *PRESETS):
         raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    config = copy.deepcopy(DEFAULTS)
-    if preset:
-        config = merge(config, PRESETS[preset])
-        config["preset"] = preset
+    config = copy.deepcopy(PRESETS[preset] if preset else DEFAULTS)
+    config["preset"] = preset
     config = merge(config, loaded)
     for text in overrides:
         parts, value = _parse_override(text)

@@ -12,6 +12,7 @@ byte-identity comparison.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import time
@@ -42,10 +43,9 @@ class RunResult:
     out_dir: str | None = None
 
 
-def variant(exp: Experiment, patch: dict) -> Experiment:
-    """A new experiment with `patch` merged over the resolved config."""
-    merged = merge(exp.raw, patch)
-    return materialize(merged)
+def variant(exp: Experiment, *patches: dict) -> Experiment:
+    """A new experiment with `patches` merged in order over the resolved config."""
+    return materialize(functools.reduce(merge, patches, exp.raw))
 
 
 def build_dataset(exp: Experiment) -> ToyDataset:
@@ -148,84 +148,82 @@ def _write_run_artifacts(result: RunResult, out_dir, elapsed: float):
 
 
 # ---------------------------------------------------------------------------
-# ablation tables
+# ablation tables: one part of the recipe (`config.FULL_AUG`,
+# `config.RECIPE_WEIGHTS`, `config.TRICKS`) at a time
 
-_TRICKS_OFF = {
-    "model": {"dropout": 0.0},
-    "loss": {"soft_label": False},
-    "freeze_modules": [],
-}
 
-_TRICKS_ON = {
-    "model": {"dropout": 0.05},
-    "loss": {"soft_label": True},
-    "freeze_modules": ["img.patch"],
-}
-
-_AUG_OFF = {"augment": {"image_mode": "none", "text_mode": "none"}}
-_AUG_ON = {"augment": {"image_mode": "pool", "text_mode": "stack"}}
+def _switched_off(patch: dict, defaults=config_mod.DEFAULTS) -> dict:
+    """`patch` with every value put back to its default: the part off."""
+    return {
+        key: _switched_off(value, defaults[key]) if isinstance(value, dict) else defaults[key]
+        for key, value in patch.items()
+    }
 
 
 def _table(exp: Experiment, rows, dataset=None) -> list:
-    """Run each (label, patch) row on a shared corpus; rows carry metrics."""
+    """Run each (label, patches) row on a shared corpus; rows carry metrics."""
     if dataset is None:
         dataset = build_dataset(exp)
     out = []
-    for label, patch in rows:
-        run = run_training(variant(exp, patch), dataset=dataset)
+    for label, patches in rows:
+        run = run_training(variant(exp, *patches), dataset=dataset)
         out.append({"row": label, **run.report.as_dict()})
     return out
 
 
 def ablate_augmentation(exp: Experiment, dataset=None) -> list:
-    rows = [
-        ("none", _AUG_OFF),
-        ("image-only", {"augment": {"image_mode": "pool", "text_mode": "none"}}),
-        ("text-only", {"augment": {"image_mode": "none", "text_mode": "stack"}}),
-        ("full", _AUG_ON),
-    ]
-    return _table(exp, rows, dataset)
+    full = config_mod.FULL_AUG
+    off = _switched_off(full, config_mod.DEFAULTS["augment"])
+    modes = {
+        "none": off,
+        "image-only": {**off, "image_mode": full["image_mode"]},
+        "text-only": {**off, "text_mode": full["text_mode"]},
+        "full": full,
+    }
+    return _table(exp, [(label, [{"augment": m}]) for label, m in modes.items()], dataset)
 
 
 def ablate_loss(exp: Experiment, dataset=None) -> list:
-    base = {"n_itc": 1.0}
-    full = config_mod.PRESETS["tbps-clip"]["loss"]["weights"]
-    rows = [
-        ("itc-diagonal", {"loss": {"weights": dict(base), "diagonal_labels": True}}),
-        ("n-itc", {"loss": {"weights": dict(base), "diagonal_labels": False}}),
-        ("n-itc+ss", {"loss": {"weights": {**base, "ss_i": 0.35}, "diagonal_labels": False}}),
-        ("n-itc+mvs", {"loss": {"weights": {**base, "mvs_i": 0.45}, "diagonal_labels": False}}),
-        ("n-itc+r", {"loss": {"weights": {**base, "r_itc": 0.7}, "diagonal_labels": False}}),
-        ("n-itc+c", {"loss": {"weights": {**base, "c_itc": 0.1}, "diagonal_labels": False}}),
-        ("stack", {"loss": {"weights": dict(full), "diagonal_labels": False}}),
+    def row(weights, diagonal=False):
+        return [{"loss": {"weights": weights, "diagonal_labels": diagonal}}]
+
+    recipe = config_mod.RECIPE_WEIGHTS
+    base = {"n_itc": recipe["n_itc"]}
+    rows = [("itc-diagonal", row(base, diagonal=True)), ("n-itc", row(base))]
+    rows += [
+        (f"n-itc+{term.split('_')[0]}", row({**base, term: weight}))
+        for term, weight in recipe.items()
+        if term not in base
     ]
+    rows.append(("stack", row(recipe)))
     return _table(exp, rows, dataset)
 
 
 def ablate_tricks(exp: Experiment, dataset=None) -> list:
-    rows = [
-        ("baseline", dict(_TRICKS_OFF)),
-        ("+dropout", merge(_TRICKS_OFF, {"model": {"dropout": 0.05}})),
-        ("+lock-patch-proj", merge(_TRICKS_OFF, {"freeze_modules": ["img.patch"]})),
-        ("+soft-label", merge(_TRICKS_OFF, {"loss": {"soft_label": True}})),
-        ("all-tricks", dict(_TRICKS_ON)),
-    ]
+    tricks = config_mod.TRICKS
+    off = [_switched_off(patch) for patch in tricks.values()]
+    rows = [("baseline", off)]
+    rows += [(f"+{name}", [*off, patch]) for name, patch in tricks.items()]
+    rows.append(("all-tricks", list(tricks.values())))
     return _table(exp, rows, dataset)
 
 
-def fewshot_curve(exp: Experiment, fractions=(0.1, 0.25, 0.5, 1.0), dataset=None) -> list:
+# the one-factor ablation axes, by the name the command line gives them
+ABLATIONS = {"augmentation": ablate_augmentation, "loss": ablate_loss, "trick": ablate_tricks}
+
+FEWSHOT_FRACTIONS = (0.1, 0.25, 0.5, 1.0)  # default training-set fractions
+
+
+def fewshot_curve(exp: Experiment, fractions=FEWSHOT_FRACTIONS, dataset=None) -> list:
     """Retrain on identity-level subsets of the training split; the test
-    split stays fixed so the rows are comparable."""
+    split stays fixed so the rows are comparable. Every subset is drawn
+    before the first run, so a bad fraction fails before any training."""
     if dataset is None:
         dataset = build_dataset(exp)
+    subsets = [few_shot(dataset.train, f, Rng(exp.seed).named(f"fewshot-{f}")) for f in fractions]
     rows = []
-    for frac in fractions:
-        subset = few_shot(dataset.train, frac, Rng(exp.seed).named(f"fewshot-{frac}"))
-        sub = ToyDataset(
-            spec=dataset.spec, attrs=dataset.attrs,
-            train=subset, val=dataset.val, test=dataset.test,
-        )
-        run = run_training(exp, dataset=sub)
+    for frac, subset in zip(fractions, subsets):
+        run = run_training(exp, dataset=replace(dataset, train=subset))
         rows.append({"fraction": frac, "train_samples": len(subset), **run.report.as_dict()})
     return rows
 
@@ -234,7 +232,7 @@ def fewshot_curve(exp: Experiment, fractions=(0.1, 0.25, 0.5, 1.0), dataset=None
 # contribution and compression
 
 
-def contribution_table(run: RunResult, eps: float = 0.03, modules=None) -> list:
+def contribution_table(run: RunResult, modules=None) -> list:
     """Per-module reset damage and interpolation steepness, evaluated on
     the validation identities. C1 is normalized over `modules`, by default
     every module but the temperature. Each probe is scored by Rank-1
@@ -245,7 +243,7 @@ def contribution_table(run: RunResult, eps: float = 0.03, modules=None) -> list:
         modules = [m for m in run.model.module_names() if m != "log_tau"]
     base = metric(run.model)
     c1 = c1_scores(run.model_init, run.model, modules, metric)
-    c2 = {m: c2_score(run.model_init, run.model, m, metric, eps=eps, baseline=base) for m in modules}
+    c2 = {m: c2_score(run.model_init, run.model, m, metric, baseline=base) for m in modules}
     both = combined_scores(c1.scores, c2)
     return [
         {"module": m, "delta": c1.deltas[m], "c1": c1.scores[m], "c2": c2[m], "combined": both[m]}
@@ -253,10 +251,10 @@ def contribution_table(run: RunResult, eps: float = 0.03, modules=None) -> list:
     ]
 
 
-def text_layer_scores(run: RunResult, eps: float = 0.03) -> dict:
+def text_layer_scores(run: RunResult) -> dict:
     """Combined contribution scores for the text tower's hidden layers."""
     modules = [m for m in run.model.module_names() if m.startswith(TEXT_MODULES)]
-    return {row["module"]: row["combined"] for row in contribution_table(run, eps, modules)}
+    return {row["module"]: row["combined"] for row in contribution_table(run, modules)}
 
 
 def compression_series(exp: Experiment, xs, mode: str, dataset=None, scores=None) -> list:

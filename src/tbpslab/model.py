@@ -278,13 +278,14 @@ def encode_image(model: Model, images) -> tuple:
     return z, ImageCache(patches=patches, pre_acts=pre_acts, first=first, pooled=pooled, raw_out=raw)
 
 
-def backward_image(model: Model, cache: ImageCache, grad_embed: np.ndarray, grads: dict, inert=frozenset()):
+def backward_image(model: Model, cache: ImageCache, grad_embed: np.ndarray, grads: dict):
     """Accumulate parameter gradients for one encode_image call into `grads`.
 
-    Modules named in `inert` get no gradient, and the pass stops below the
-    lowest module that does; the other gradients are unchanged."""
+    The model's inert modules get no gradient, and the pass stops below
+    the lowest module that does; the other gradients are unchanged."""
     cfg = model.config
     p = model.params
+    inert = model.inert_modules()
     g_raw = l2_normalize_rows_backward(cache.raw_out, grad_embed)
 
     if "img.out" not in inert:
@@ -361,13 +362,14 @@ def encode_text(model: Model, token_lists, train: bool = False, rng: Rng | None 
     )
 
 
-def backward_text(model: Model, cache: TextCache, grad_embed: np.ndarray, grads: dict, inert=frozenset()):
+def backward_text(model: Model, cache: TextCache, grad_embed: np.ndarray, grads: dict):
     """Accumulate parameter gradients for one encode_text call into `grads`.
 
-    Modules named in `inert` get no gradient, and the pass stops below the
-    lowest module that does; the other gradients are unchanged. Dropped
-    layers are not in the cache, so they never get one."""
+    The model's inert modules get no gradient, and the pass stops below
+    the lowest module that does; the other gradients are unchanged.
+    Dropped layers are not in the cache, so they never get one."""
     p = model.params
+    inert = model.inert_modules()
     g_raw = l2_normalize_rows_backward(cache.raw_out, grad_embed)
 
     if "txt.out" not in inert:

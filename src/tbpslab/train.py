@@ -298,11 +298,10 @@ def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
         raise NonFiniteLoss(f"loss became {total.value}")
 
     grads: dict = {}
-    inert = model.inert_modules()
     for view, (_, cache) in img.items():
-        backward_image(model, cache, total.grad_image[rows[view]], grads, inert)
+        backward_image(model, cache, total.grad_image[rows[view]], grads)
     for view, (_, cache) in txt.items():
-        backward_text(model, cache, total.grad_text[rows[view]], grads, inert)
+        backward_text(model, cache, total.grad_text[rows[view]], grads)
     grads["log_tau"] = np.asarray(total.grad_log_tau)
 
     for g in grads.values():

@@ -259,6 +259,32 @@ def test_compression_series_fails_before_training(xs, mode, scores, match, monke
     assert runs == []
 
 
+def test_fewshot_curve_fails_before_training(monkeypatch):
+    runs = []
+    monkeypatch.setattr(experiments, "run_training", lambda *a, **k: runs.append(a))
+    exp = materialize(resolve(overrides=[o for o in MICRO if o != "--set"]))
+    with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\], got 2.0"):
+        experiments.fewshot_curve(exp, (0.5, 2.0))
+    assert runs == []
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["compress", "--mode", "freeze", "--xs", "0,a"], 1, "argument --xs"),
+        (["fewshot", "--fractions", "0.5,x"], 1, "argument --fractions"),
+        (["fewshot", "--fractions", "0.5,2.0"], 2, "got 2.0"),
+    ],
+    ids=["malformed-xs", "malformed-fractions", "fraction-out-of-range"],
+)
+def test_bad_list_option_fails_before_training(argv, code, message, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(experiments, "run_training", lambda *a, **k: runs.append(a))
+    assert main([*argv, *MICRO]) == code
+    assert message in capsys.readouterr().err
+    assert runs == []
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tbpslab.cli", "--help"],

@@ -2,13 +2,18 @@
 dataclass-derived schema shared with the checkpoint and corpus headers."""
 
 from dataclasses import asdict, fields
+from types import SimpleNamespace
 
 import pytest
 
+from tbpslab import experiments
 from tbpslab.config import (
     DEFAULTS,
+    FULL_AUG,
     PRESETS,
+    RECIPE_WEIGHTS,
     SECTIONS,
+    TRICKS,
     ConfigError,
     Experiment,
     dump_yaml,
@@ -291,3 +296,68 @@ class TestMerge:
     def test_unknown_key_fails_with_path(self):
         with pytest.raises(ConfigError, match="a.z"):
             merge({"a": {"x": 1}}, {"a": {"z": 1}})
+
+
+def ablation_tables(preset, monkeypatch) -> dict:
+    """axis -> {row label: resolved config} under `preset`, training nothing:
+    a stub stands in for each row's run and records its experiment."""
+    seen = []
+
+    def record(exp, dataset=None, out_dir=None):
+        seen.append(exp.raw)
+        return SimpleNamespace(report=SimpleNamespace(as_dict=dict))
+
+    monkeypatch.setattr(experiments, "run_training", record)
+    exp = materialize(resolve(preset=preset))
+    tables = {}
+    for axis, table_fn in experiments.ABLATIONS.items():
+        seen.clear()
+        rows = table_fn(exp, dataset=object())
+        tables[axis] = {row["row"]: raw for row, raw in zip(rows, seen, strict=True)}
+    return tables
+
+
+# the rows' fingerprints under tbps-clip; retuning a recipe part moves them
+TBPS_CLIP_ROWS = {
+    "augmentation": {
+        "none": "fdfa7e9782e7", "image-only": "93ee38b857ee",
+        "text-only": "051554e37978", "full": "1752b3be08e0",
+    },
+    "loss": {
+        "itc-diagonal": "9af703d18c83", "n-itc": "f11757d2aca4",
+        "n-itc+ss": "63795f78a9c3", "n-itc+mvs": "61595cd66de9",
+        "n-itc+r": "869d4dcb067d", "n-itc+c": "bbc10f6cfda9",
+        "stack": "1752b3be08e0",
+    },
+    "trick": {
+        "baseline": "713da4e78834", "+dropout": "95f1d40b6929",
+        "+lock-patch-proj": "e48d44613517", "+soft-label": "4607f1380e0c",
+        "all-tricks": "1752b3be08e0",
+    },
+}
+
+
+class TestRecipeParts:
+    """The presets and the ablation rows are built from one set of parts."""
+
+    @pytest.mark.parametrize("preset", ["", *PRESETS])
+    def test_each_table_has_one_row_equal_to_the_preset(self, preset, monkeypatch):
+        own = fingerprint(resolve(preset=preset))
+        for axis, rows in ablation_tables(preset, monkeypatch).items():
+            same = [label for label, raw in rows.items() if fingerprint(raw) == own]
+            assert len(same) == 1, (axis, same)
+
+    @pytest.mark.parametrize("preset", ["", *PRESETS])
+    def test_full_rows_carry_every_part(self, preset, monkeypatch):
+        tables = ablation_tables(preset, monkeypatch)
+        full = tables["augmentation"]["full"]
+        assert {k: full["augment"][k] for k in FULL_AUG} == FULL_AUG
+        assert tables["loss"]["stack"]["loss"]["weights"] == RECIPE_WEIGHTS
+        every = tables["trick"]["all-tricks"]
+        for patch in TRICKS.values():
+            assert merge(every, patch) == every, patch
+
+    def test_row_fingerprints_under_tbps_clip(self, monkeypatch):
+        tables = ablation_tables("tbps-clip", monkeypatch)
+        got = {axis: {label: fingerprint(raw) for label, raw in rows.items()} for axis, rows in tables.items()}
+        assert got == TBPS_CLIP_ROWS
