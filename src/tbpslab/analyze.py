@@ -16,7 +16,7 @@ checkpoint and the run's initial parameters:
 
 Low combined scores mark modules that can be frozen at their initial
 values, or dropped outright, with little cost; `select_layers` picks the
-x cheapest and `compress_experiment` drives a retrain series over x.
+x cheapest, and `experiments.compression_series` retrains over x.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import BadModule, Model, clone_model, parameter_count
+from .model import BadModule, Model, clone_model
 
 FINE_GRID = 100  # alpha resolution 0.01
 COARSE_STEP = 5  # refine method probes every 0.05 first
@@ -180,31 +180,3 @@ def select_layers(scores: dict, x: int) -> tuple:
             best = key
     return best[1]
 
-
-def compress_experiment(xs, mode: str, scores: dict, retrain) -> list:
-    """Retrain series over compression budgets.
-
-    For each x in xs, pick the x lowest-scoring modules and call
-    retrain(mode, chosen) -> (model, metric). mode "freeze" keeps the
-    chosen modules at their initial values during retraining; "drop"
-    removes the chosen layers from the text tower. x = 0 retrains with no
-    constraint and must reproduce the baseline run exactly (the retrain
-    closure owns that determinism).
-
-    Returns one row per x: {"x", "mode", "modules", "metric", "trainable"}.
-    """
-    check_series(xs, mode, len(scores))
-    rows = []
-    for x in xs:
-        chosen = select_layers(scores, x)
-        model, metric = retrain(mode, chosen)
-        rows.append(
-            {
-                "x": x,
-                "mode": mode,
-                "modules": chosen,
-                "metric": float(metric),
-                "trainable": parameter_count(model, trainable_only=True),
-            }
-        )
-    return rows

@@ -162,7 +162,8 @@ def cmd_compress(args) -> int:
 def cmd_study(args) -> int:
     """One training run, then every table with default settings, all on
     the run's corpus. The contribution table and both compression series
-    score the run itself instead of retraining it."""
+    score the run itself, and every table takes it as done: a row whose
+    config is the run's is that run, not a retrain."""
     config, exp = _resolve(args)
     out_dir = _run_dir(config, args.outdir)
     run = experiments.run_training(exp, out_dir=os.path.join(out_dir, "run"))
@@ -170,12 +171,13 @@ def cmd_study(args) -> int:
     print("\n".join(run.report.lines()))
     ds = run.dataset
     scores = experiments.text_layer_scores(run)
+    done = (run,)
     tables = {
-        **{f"ablate-{axis}": functools.partial(fn, exp, ds) for axis, fn in experiments.ABLATIONS.items()},
-        "fewshot": lambda: experiments.fewshot_curve(exp, dataset=ds),
+        **{f"ablate-{axis}": functools.partial(fn, exp, ds, done) for axis, fn in experiments.ABLATIONS.items()},
+        "fewshot": lambda: experiments.fewshot_curve(exp, dataset=ds, done=done),
         "contribution": lambda: experiments.contribution_table(run),
-        "compress-freeze": lambda: experiments.compression_series(exp, COMPRESS_XS, "freeze", ds, scores),
-        "compress-drop": lambda: experiments.compression_series(exp, COMPRESS_XS, "drop", ds, scores),
+        "compress-freeze": lambda: experiments.compression_series(exp, COMPRESS_XS, "freeze", ds, scores, done),
+        "compress-drop": lambda: experiments.compression_series(exp, COMPRESS_XS, "drop", ds, scores, done),
     }
     for name, table_fn in tables.items():
         _write_table(table_fn(), out_dir, name, config, exp.seed)

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, replace
 
 from . import config as config_mod
-from .analyze import c1_scores, c2_score, check_series, combined_scores, compress_experiment
+from .analyze import c1_scores, c2_score, check_series, combined_scores, select_layers
 from .config import Experiment, fingerprint, materialize, merge
 from .data import ToyDataset, build_vocab, few_shot, generate_toy
 from .evaluate import RetrievalReport, evaluate_model, rank1_scorer
@@ -83,6 +83,22 @@ def run_training(exp: Experiment, dataset: ToyDataset | None = None, out_dir=Non
         result.out_dir = str(out_dir)
         _write_run_artifacts(result, out_dir, elapsed)
     return result
+
+
+def run_many(jobs, done=()) -> list:
+    """One result per `(exp, dataset)` job, in job order. A run is
+    deterministic in config and corpus, so each (fingerprint, corpus object)
+    key trains once; corpora compare by identity, never by content. A run in
+    `done` counts as already trained."""
+    jobs = list(jobs)  # keeps every corpus alive, so no two share an id
+    runs = {(fingerprint(run.experiment.raw), id(run.dataset)): run for run in done}
+    results = []
+    for exp, dataset in jobs:
+        key = (fingerprint(exp.raw), id(dataset))
+        if key not in runs:
+            runs[key] = run_training(exp, dataset=dataset)
+        results.append(runs[key])
+    return results
 
 
 def write_csv(rows, path, fp, seed, columns=None):
@@ -160,18 +176,15 @@ def _switched_off(patch: dict, defaults=config_mod.DEFAULTS) -> dict:
     }
 
 
-def _table(exp: Experiment, rows, dataset=None) -> list:
+def _table(exp: Experiment, rows, dataset=None, done=()) -> list:
     """Run each (label, patches) row on a shared corpus; rows carry metrics."""
     if dataset is None:
         dataset = build_dataset(exp)
-    out = []
-    for label, patches in rows:
-        run = run_training(variant(exp, *patches), dataset=dataset)
-        out.append({"row": label, **run.report.as_dict()})
-    return out
+    runs = run_many([(variant(exp, *patches), dataset) for _, patches in rows], done)
+    return [{"row": label, **run.report.as_dict()} for (label, _), run in zip(rows, runs)]
 
 
-def ablate_augmentation(exp: Experiment, dataset=None) -> list:
+def ablate_augmentation(exp: Experiment, dataset=None, done=()) -> list:
     full = config_mod.FULL_AUG
     off = _switched_off(full, config_mod.DEFAULTS["augment"])
     modes = {
@@ -180,10 +193,10 @@ def ablate_augmentation(exp: Experiment, dataset=None) -> list:
         "text-only": {**off, "text_mode": full["text_mode"]},
         "full": full,
     }
-    return _table(exp, [(label, [{"augment": m}]) for label, m in modes.items()], dataset)
+    return _table(exp, [(label, [{"augment": m}]) for label, m in modes.items()], dataset, done)
 
 
-def ablate_loss(exp: Experiment, dataset=None) -> list:
+def ablate_loss(exp: Experiment, dataset=None, done=()) -> list:
     def row(weights, diagonal=False):
         return [{"loss": {"weights": weights, "diagonal_labels": diagonal}}]
 
@@ -196,16 +209,16 @@ def ablate_loss(exp: Experiment, dataset=None) -> list:
         if term not in base
     ]
     rows.append(("stack", row(recipe)))
-    return _table(exp, rows, dataset)
+    return _table(exp, rows, dataset, done)
 
 
-def ablate_tricks(exp: Experiment, dataset=None) -> list:
+def ablate_tricks(exp: Experiment, dataset=None, done=()) -> list:
     tricks = config_mod.TRICKS
     off = [_switched_off(patch) for patch in tricks.values()]
     rows = [("baseline", off)]
     rows += [(f"+{name}", [*off, patch]) for name, patch in tricks.items()]
     rows.append(("all-tricks", list(tricks.values())))
-    return _table(exp, rows, dataset)
+    return _table(exp, rows, dataset, done)
 
 
 # the one-factor ablation axes, by the name the command line gives them
@@ -214,18 +227,20 @@ ABLATIONS = {"augmentation": ablate_augmentation, "loss": ablate_loss, "trick": 
 FEWSHOT_FRACTIONS = (0.1, 0.25, 0.5, 1.0)  # default training-set fractions
 
 
-def fewshot_curve(exp: Experiment, fractions=FEWSHOT_FRACTIONS, dataset=None) -> list:
+def fewshot_curve(exp: Experiment, fractions=FEWSHOT_FRACTIONS, dataset=None, done=()) -> list:
     """Retrain on identity-level subsets of the training split; the test
     split stays fixed so the rows are comparable. Every subset is drawn
-    before the first run, so a bad fraction fails before any training."""
+    before the first run, so a bad fraction fails before any training. A
+    subset that is the whole split trains on `dataset` itself, so a run of
+    `exp` on it in `done` is that row."""
     if dataset is None:
         dataset = build_dataset(exp)
     subsets = [few_shot(dataset.train, f, Rng(exp.seed).named(f"fewshot-{f}")) for f in fractions]
-    rows = []
-    for frac, subset in zip(fractions, subsets):
-        run = run_training(exp, dataset=replace(dataset, train=subset))
-        rows.append({"fraction": frac, "train_samples": len(subset), **run.report.as_dict()})
-    return rows
+    jobs = [(exp, dataset if len(s) == len(dataset.train) else replace(dataset, train=s)) for s in subsets]
+    return [
+        {"fraction": frac, "train_samples": len(subset), **run.report.as_dict()}
+        for frac, subset, run in zip(fractions, subsets, run_many(jobs, done))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +272,15 @@ def text_layer_scores(run: RunResult) -> dict:
     return {row["module"]: row["combined"] for row in contribution_table(run, modules)}
 
 
-def compression_series(exp: Experiment, xs, mode: str, dataset=None, scores=None) -> list:
-    """Retrain with the x least-contributing text layers frozen or dropped.
+def compression_series(exp: Experiment, xs, mode: str, dataset=None, scores=None, done=()) -> list:
+    """Retrain with the x lowest-scoring text layers (`select_layers`)
+    frozen at their initial values or dropped from the tower.
 
-    x = 0 is the unconstrained config, so with the shared dataset and seed
-    it reproduces the baseline run exactly. The candidates are the keys of
-    `scores`, by default the text tower's hidden layers; a bad mode or
-    budget fails before any training run.
+    The candidates are the keys of `scores`, by default the text tower's
+    hidden layers scored on a run of `exp`. x = 0 is the unconstrained
+    config: the scoring run or a run in `done` is its row, and retrained
+    on the shared dataset and seed it reproduces that run exactly. A bad
+    mode or budget fails before any training run.
     """
     check_series(xs, mode, exp.model.text_layers if scores is None else len(scores))
     if dataset is None:
@@ -271,14 +288,22 @@ def compression_series(exp: Experiment, xs, mode: str, dataset=None, scores=None
     if scores is None:
         base_run = run_training(exp, dataset=dataset)
         scores = text_layer_scores(base_run)
+        done = (*done, base_run)
 
-    def retrain(mode_, chosen):
-        if mode_ == "freeze":
-            patch = {"freeze_modules": list(exp.freeze_modules) + list(chosen)}
-        else:
-            ids = sorted(int(m.rsplit(".", 1)[1]) for m in chosen)
-            patch = {"model": {"dropped_text_layers": ids}}
-        run = run_training(variant(exp, patch), dataset=dataset)
-        return run.model, run.report.rank1
+    def patch(chosen):
+        if mode == "freeze":
+            return {"freeze_modules": [*exp.freeze_modules, *chosen]}
+        return {"model": {"dropped_text_layers": sorted(int(m.rsplit(".", 1)[1]) for m in chosen)}}
 
-    return compress_experiment(xs, mode, scores, retrain)
+    chosen = [select_layers(scores, x) for x in xs]
+    runs = run_many([(variant(exp, patch(modules)), dataset) for modules in chosen], done)
+    return [
+        {
+            "x": x,
+            "mode": mode,
+            "modules": modules,
+            "metric": float(run.report.rank1),
+            "trainable": parameter_count(run.model, trainable_only=True),
+        }
+        for x, modules, run in zip(xs, chosen, runs)
+    ]

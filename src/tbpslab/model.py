@@ -80,10 +80,6 @@ class ModelConfig:
                 raise BadLayerId(f"dropped text layer {i} outside [0, {self.text_layers})")
 
     @property
-    def patch_count(self) -> int:
-        return (self.image_height // self.patch_size) * (self.image_width // self.patch_size)
-
-    @property
     def patch_pixels(self) -> int:
         return self.patch_size * self.patch_size * 3
 

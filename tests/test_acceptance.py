@@ -37,33 +37,37 @@ POINT = 0.01  # one Rank-1 "point" in [0, 1] units
 # shared training cache
 
 
-@pytest.fixture(scope="session")
-def rank1_of():
-    """rank1_of(preset, seed, extra...) -> (Rank-1, gallery size), trained once.
-
-    Every cached run is also held to the per-run time budget; the default
-    recipe is the largest configuration that passes through here."""
-    cache: dict = {}
-
-    def get(preset: str, seed: int, extra=()):
-        key = (preset, seed, tuple(extra))
-        if key not in cache:
-            exp = materialize(resolve(preset=preset, overrides=[f"seed={seed}", *extra]))
-            started = time.monotonic()
-            report = experiments.run_training(exp).report
-            elapsed = time.monotonic() - started
-            assert elapsed < RUN_BUDGET_SECONDS, f"{key} took {elapsed:.0f}s"
-            cache[key] = (report.rank1, report.n_gallery)
-        return cache[key]
-
-    return get
+def _budgeted_run(preset: str, seed: int, extra=()):
+    """Train one config, held to the per-run time budget; the default
+    recipe is the largest configuration trained here."""
+    exp = materialize(resolve(preset=preset, overrides=[f"seed={seed}", *extra]))
+    started = time.monotonic()
+    run = experiments.run_training(exp)
+    elapsed = time.monotonic() - started
+    assert elapsed < RUN_BUDGET_SECONDS, f"{(preset, seed, tuple(extra))} took {elapsed:.0f}s"
+    return run
 
 
 @pytest.fixture(scope="session")
 def reference_run():
     """The default-recipe seed-0 run, with models and corpus retained."""
-    exp = materialize(resolve(preset="tbps-clip"))
-    return experiments.run_training(exp)
+    return _budgeted_run("tbps-clip", 0)
+
+
+@pytest.fixture(scope="session")
+def rank1_of(reference_run):
+    """rank1_of(preset, seed, extra...) -> (Rank-1, gallery size), trained once.
+
+    The default recipe at seed 0 is `reference_run`, not a second run."""
+    cache = {("tbps-clip", 0, ()): reference_run.report}
+
+    def get(preset: str, seed: int, extra=()):
+        key = (preset, seed, tuple(extra))
+        if key not in cache:
+            cache[key] = _budgeted_run(preset, seed, extra).report
+        return cache[key].rank1, cache[key].n_gallery
+
+    return get
 
 
 def _median_rank1(rank1_of, preset, extra=()):

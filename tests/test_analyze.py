@@ -12,7 +12,6 @@ from tbpslab.analyze import (
     c1_scores,
     c2_score,
     combined_scores,
-    compress_experiment,
     interpolate,
     reset_module,
     select_layers,
@@ -22,7 +21,6 @@ from tbpslab.model import (
     ModelConfig,
     clone_model,
     init_model,
-    parameter_count,
 )
 from tbpslab.numerics import Rng
 
@@ -203,32 +201,6 @@ class TestSelection:
         assert combined_scores(c1, c2) == {"a": 0.75, "b": 1.0}
         with pytest.raises(ValueError):
             combined_scores(c1, {"a": 0.1})
-
-
-class TestCompressExperiment:
-    def test_series_rows(self):
-        scores = {"txt.hidden.0": 0.1, "txt.hidden.1": 0.5, "txt.hidden.2": 0.3}
-        calls = []
-
-        def retrain(mode, chosen):
-            calls.append((mode, chosen))
-            ids = sorted(int(m.rsplit(".", 1)[1]) for m in chosen) if mode == "drop" else []
-            model = init_model(dataclasses.replace(CFG, dropped_text_layers=tuple(ids)), Rng(1))
-            return model, 0.8 - 0.1 * len(chosen)
-
-        rows = compress_experiment([0, 1, 2], "drop", scores, retrain)
-        assert [r["x"] for r in rows] == [0, 1, 2]
-        assert rows[0]["modules"] == ()
-        assert rows[1]["modules"] == ("txt.hidden.0",)
-        assert rows[2]["modules"] == ("txt.hidden.0", "txt.hidden.2")
-        # drop mode sheds parameters strictly
-        assert rows[0]["trainable"] > rows[1]["trainable"] > rows[2]["trainable"]
-        assert calls[0] == ("drop", ())
-
-    def test_bad_mode(self, pair):
-        init, trained = pair
-        with pytest.raises(ValueError):
-            compress_experiment([0], "shrink", {"a": 1.0}, lambda m, c: (trained, 0.0))
 
 
 class TestOnRealEncoders:

@@ -5,12 +5,13 @@ import os
 import struct
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from tbpslab import experiments
 from tbpslab.cli import main
-from tbpslab.config import materialize, resolve
+from tbpslab.config import fingerprint, materialize, resolve
 from tbpslab.data import load_jsonl, oracle_rank1
 from tbpslab.model import ModelConfig, init_model, save_checkpoint
 from tbpslab.numerics import Rng
@@ -28,6 +29,24 @@ MICRO = [
 
 def run_files(dirpath):
     return sorted(os.listdir(dirpath))
+
+
+def micro_experiment():
+    return materialize(resolve(overrides=[o for o in MICRO if o != "--set"]))
+
+
+def count_runs(monkeypatch) -> list:
+    """Wrap `experiments.run_training`: the returned list gets one
+    (config fingerprint, corpus) pair per run, and holds each corpus."""
+    runs = []
+    train = experiments.run_training
+
+    def counted(exp, dataset=None, out_dir=None):
+        runs.append((fingerprint(exp.raw), dataset))
+        return train(exp, dataset=dataset, out_dir=out_dir)
+
+    monkeypatch.setattr(experiments, "run_training", counted)
+    return runs
 
 
 class TestTrainCommand:
@@ -122,12 +141,14 @@ class TestTables:
         lines = (out / "fewshot.csv").read_text().splitlines()
         assert len(lines) == 4  # comment, header, two rows
 
-    def test_compress_csv(self, tmp_path):
+    def test_compress_csv(self, tmp_path, monkeypatch):
+        runs = count_runs(monkeypatch)
         out = tmp_path / "tab"
         assert main(["compress", *MICRO, "--mode", "freeze", "--xs", "0,1",
                      "--outdir", str(out)]) == 0
         lines = (out / "compress-freeze.csv").read_text().splitlines()
         assert [ln.split(",")[0] for ln in lines[2:]] == ["0", "1"]
+        assert len(runs) == 2  # the run that scores the layers is the x = 0 row
 
     def test_contribution_csv(self, tmp_path):
         out = tmp_path / "tab"
@@ -138,9 +159,14 @@ class TestTables:
 
 
 class TestStudy:
-    def test_study_writes_run_and_every_table(self, tmp_path):
+    def test_study_writes_run_and_every_table(self, tmp_path, monkeypatch):
+        runs = count_runs(monkeypatch)
         out = tmp_path / "study"
         assert main(["study", *MICRO, "--outdir", str(out)]) == 0
+        # 29 rows and the run, less the 6 rows whose config is the run's own:
+        # one per ablation table, few-shot 1.0 and both x = 0 rows
+        assert len(runs) == 23
+        assert len({(fp, id(ds)) for fp, ds in runs}) == 23
         tables = [
             "ablate-augmentation", "ablate-loss", "ablate-trick", "fewshot",
             "contribution", "compress-freeze", "compress-drop",
@@ -253,16 +279,47 @@ class TestExitCodes:
 def test_compression_series_fails_before_training(xs, mode, scores, match, monkeypatch):
     runs = []
     monkeypatch.setattr(experiments, "run_training", lambda *a, **k: runs.append(a))
-    exp = materialize(resolve(overrides=[o for o in MICRO if o != "--set"]))
+    exp = micro_experiment()
     with pytest.raises(ValueError, match=match):
         experiments.compression_series(exp, xs, mode, scores=scores)
     assert runs == []
 
 
+def test_compression_series_drops_the_lowest_scoring_layers(monkeypatch):
+    runs = count_runs(monkeypatch)
+    scores = {"txt.hidden.0": 0.1, "txt.hidden.1": 0.5, "txt.hidden.2": 0.3}
+    rows = experiments.compression_series(micro_experiment(), (0, 1, 2), "drop", scores=scores)
+    assert [r["x"] for r in rows] == [0, 1, 2]
+    assert [r["modules"] for r in rows] == [(), ("txt.hidden.0",), ("txt.hidden.0", "txt.hidden.2")]
+    # drop mode sheds parameters strictly
+    assert rows[0]["trainable"] > rows[1]["trainable"] > rows[2]["trainable"]
+    assert len(runs) == 3  # with no run done, x = 0 retrains too
+
+
+def test_run_many_trains_each_distinct_job_once(monkeypatch):
+    trained = []
+
+    def stub(exp, dataset=None, out_dir=None):
+        trained.append((exp.seed, dataset))
+        return SimpleNamespace(experiment=exp, dataset=dataset)
+
+    monkeypatch.setattr(experiments, "run_training", stub)
+    base = micro_experiment()
+    other = experiments.variant(base, {"seed": 1})
+    corpus, twin = object(), object()
+    finished = SimpleNamespace(experiment=base, dataset=corpus)
+    jobs = [(other, corpus), (base, corpus), (base, twin), (other, corpus)]
+    results = experiments.run_many(jobs, done=(finished,))
+    assert [(r.experiment.seed, r.dataset) for r in results] == [(1, corpus), (0, corpus), (0, twin), (1, corpus)]
+    assert results[1] is finished and results[3] is results[0]
+    # the done run is not retrained; the same config on another corpus is
+    assert trained == [(1, corpus), (0, twin)]
+
+
 def test_fewshot_curve_fails_before_training(monkeypatch):
     runs = []
     monkeypatch.setattr(experiments, "run_training", lambda *a, **k: runs.append(a))
-    exp = materialize(resolve(overrides=[o for o in MICRO if o != "--set"]))
+    exp = micro_experiment()
     with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\], got 2.0"):
         experiments.fewshot_curve(exp, (0.5, 2.0))
     assert runs == []

