@@ -171,13 +171,14 @@ def cmd_study(args) -> int:
     print("\n".join(run.report.lines()))
     ds = run.dataset
     scores = experiments.text_layer_scores(run)
+    xs = tuple(x for x in COMPRESS_XS if x <= len(scores))  # the budgets its text layers afford
     done = (run,)
     tables = {
         **{f"ablate-{axis}": functools.partial(fn, exp, ds, done) for axis, fn in experiments.ABLATIONS.items()},
         "fewshot": lambda: experiments.fewshot_curve(exp, dataset=ds, done=done),
         "contribution": lambda: experiments.contribution_table(run),
-        "compress-freeze": lambda: experiments.compression_series(exp, COMPRESS_XS, "freeze", ds, scores, done),
-        "compress-drop": lambda: experiments.compression_series(exp, COMPRESS_XS, "drop", ds, scores, done),
+        "compress-freeze": lambda: experiments.compression_series(exp, xs, "freeze", ds, scores, done),
+        "compress-drop": lambda: experiments.compression_series(exp, xs, "drop", ds, scores, done),
     }
     for name, table_fn in tables.items():
         _write_table(table_fn(), out_dir, name, config, exp.seed)

@@ -22,7 +22,7 @@ import yaml
 from .augment import AugmentConfig
 from .data import ToySpec
 from .losses import LossConfig, UnknownTerm
-from .model import ModelConfig
+from .model import ModelConfig, module_of, param_table
 from .schema import ConfigError, load
 from .train import TrainConfig
 
@@ -217,9 +217,14 @@ def materialize(config: dict) -> Experiment:
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
         freeze_modules = tuple(config["freeze_modules"])
+        modules = {module_of(key) for key in param_table(model)}
         for name in freeze_modules:
             if not isinstance(name, str):
                 raise ConfigError(f"freeze_modules entries must be strings, got {name!r}")
+            if name not in modules:
+                raise ConfigError(f"freeze_modules: no module named '{name}'; known: {sorted(modules)}")
+        if len(set(freeze_modules)) != len(freeze_modules):
+            raise ConfigError(f"freeze_modules lists a module twice: {list(freeze_modules)}")
     except ConfigError:
         raise
     except UnknownTerm as e:

@@ -153,10 +153,7 @@ class ToyDataset:
 
 
 def _sample_identities(n: int, rng: Rng) -> list:
-    """n identities with pairwise-distinct attribute-word bags."""
-    cap = identity_capacity()
-    if n > cap:
-        raise SpecTooLarge(f"{n} identities requested but only {cap} distinct attribute bags exist")
+    """n identities with pairwise-distinct attribute-word bags (`ToySpec` bounds n)."""
     colors = list(GARMENT_COLORS)
     pairs = [
         (colors[i], colors[j]) for i in range(len(colors)) for j in range(i + 1, len(colors))

@@ -28,7 +28,6 @@ from .numerics import Rng
 from .train import fit
 
 TEXT_MODULES = "txt.hidden"  # compression candidates live in the text tower
-HISTORY_COLUMNS = ("step", "epoch", "lr", "loss", "tau")  # then per-term losses, sorted
 
 
 @dataclass
@@ -57,7 +56,7 @@ def run_training(exp: Experiment, dataset: ToyDataset | None = None, out_dir=Non
     held-out identities, and optionally write the run's artifacts."""
     rng = Rng(exp.seed)
     if dataset is None:
-        dataset = generate_toy(exp.data, rng.named("data"))
+        dataset = build_dataset(exp)
     vocab = build_vocab(dataset.train)
     model_cfg = replace(exp.model, vocab=vocab)
     model = init_model(model_cfg, rng.named("init"))
@@ -133,11 +132,7 @@ def _write_run_artifacts(result: RunResult, out_dir, elapsed: float):
     config_mod.dump_yaml(exp.raw, join("config.yaml"))
     save_checkpoint(result.model_init, join("init.ckpt"))
     save_checkpoint(result.model, join("final.ckpt"))
-    extras = sorted({k for row in result.history for k in row} - set(HISTORY_COLUMNS))
-    write_csv(
-        result.history, join("history.csv"), result.fingerprint, exp.seed,
-        columns=[*HISTORY_COLUMNS, *extras],
-    )
+    write_csv(result.history, join("history.csv"), result.fingerprint, exp.seed)
     with open(join("report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(result.report.lines()) + "\n")
     _atomic_json(
@@ -267,22 +262,25 @@ def contribution_table(run: RunResult, modules=None) -> list:
 
 
 def text_layer_scores(run: RunResult) -> dict:
-    """Combined contribution scores for the text tower's hidden layers."""
-    modules = [m for m in run.model.module_names() if m.startswith(TEXT_MODULES)]
+    """Combined contribution scores of the text hidden layers that still train."""
+    inert = run.model.inert_modules()
+    modules = [m for m in run.model.module_names() if m.startswith(TEXT_MODULES) and m not in inert]
     return {row["module"]: row["combined"] for row in contribution_table(run, modules)}
 
 
 def compression_series(exp: Experiment, xs, mode: str, dataset=None, scores=None, done=()) -> list:
     """Retrain with the x lowest-scoring text layers (`select_layers`)
-    frozen at their initial values or dropped from the tower.
+    frozen at their initial values or dropped, on top of those `exp` has.
 
-    The candidates are the keys of `scores`, by default the text tower's
-    hidden layers scored on a run of `exp`. x = 0 is the unconstrained
-    config: the scoring run or a run in `done` is its row, and retrained
-    on the shared dataset and seed it reproduces that run exactly. A bad
-    mode or budget fails before any training run.
+    The candidates are the keys of `scores`, by default the text hidden
+    layers that still train under `exp`, scored on a run of it. x = 0 is
+    `exp` itself: the scoring run or a run in `done` is its row, and
+    retrained on the shared dataset and seed it reproduces that run
+    exactly. A bad mode or budget fails before any training run.
     """
-    check_series(xs, mode, exp.model.text_layers if scores is None else len(scores))
+    inert = {*exp.freeze_modules, *(f"{TEXT_MODULES}.{i}" for i in exp.model.dropped_text_layers)}
+    trained = sum(f"{TEXT_MODULES}.{i}" not in inert for i in range(exp.model.text_layers))
+    check_series(xs, mode, trained if scores is None else len(scores))
     if dataset is None:
         dataset = build_dataset(exp)
     if scores is None:
@@ -293,7 +291,8 @@ def compression_series(exp: Experiment, xs, mode: str, dataset=None, scores=None
     def patch(chosen):
         if mode == "freeze":
             return {"freeze_modules": [*exp.freeze_modules, *chosen]}
-        return {"model": {"dropped_text_layers": sorted(int(m.rsplit(".", 1)[1]) for m in chosen)}}
+        layers = sorted(int(m.rsplit(".", 1)[1]) for m in chosen)
+        return {"model": {"dropped_text_layers": [*exp.model.dropped_text_layers, *layers]}}
 
     chosen = [select_layers(scores, x) for x in xs]
     runs = run_many([(variant(exp, patch(modules)), dataset) for modules in chosen], done)

@@ -159,13 +159,17 @@ class LossConfig:
     diagonal_labels: bool = False
 
     def __post_init__(self):
-        for name in self.weights:
+        for name, weight in self.weights.items():
             if name not in TERM_VIEWS:
                 raise UnknownTerm(f"unknown loss term '{name}'; known: {KNOWN_LOSSES}")
+            if not (0 <= weight < np.inf):
+                raise ValueError(f"loss weight '{name}' must be finite and >= 0, got {weight}")
         if not any(w > 0 for w in self.weights.values()):
             raise ValueError("at least one loss weight must be positive")
         if not (self.tau_s > 0):
             raise NonPositiveTemperature(f"tau_s must be > 0, got {self.tau_s}")
+        if not (self.eps > 0):
+            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 def _check_pair(img: EmbeddingBatch, txt: EmbeddingBatch, labels: LabelMatrix | None = None):

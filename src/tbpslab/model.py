@@ -78,6 +78,8 @@ class ModelConfig:
         for i in self.dropped_text_layers:
             if not (0 <= i < self.text_layers):
                 raise BadLayerId(f"dropped text layer {i} outside [0, {self.text_layers})")
+        if len(set(self.dropped_text_layers)) != len(self.dropped_text_layers):
+            raise ValueError(f"dropped_text_layers lists a layer twice: {list(self.dropped_text_layers)}")
 
     @property
     def patch_pixels(self) -> int:

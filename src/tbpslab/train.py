@@ -2,12 +2,12 @@
 a step function that assembles the full loss stack from two encoded views
 of each modality.
 
-Gradient routing: `losses.TERM_VIEWS` names the views each loss term reads.
-The step encodes only the views active terms read, computes each term on
-them, and places its gradients on the matching rows of a (2N, d) image
-block over [original; augmented] rows and the same for text. The placed
-terms are combined linearly and pushed through the encoder backward
-passes, one per encode call, summing parameter gradients.
+Gradient routing: `losses.TERM_VIEWS` names the views each loss term reads:
+"orig", "alt", or "both" (the [orig; alt] stack SS contrasts), from one view
+table per modality. Every term, SS included, reads its views from those
+tables in one loop, and its gradients go on the matching rows of a (2N, d)
+block per modality. The placed terms are combined linearly and pushed
+through the encoder backward passes, one per encode call, summing gradients.
 
 The optimizer skips frozen modules and dropped text layers entirely: their
 tensors keep their exact bytes, which the freeze tests pin down. The
@@ -19,6 +19,7 @@ When a run builds augmented image views, `fit` has a worker process
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -202,13 +203,13 @@ def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
     """Loss value and parameter gradients for one batch, no update.
 
     Encodes only the views the active terms read, computes each term on the
-    views `losses.TERM_VIEWS` names, places its gradients on those rows,
-    combines the terms with the configured weights, and backpropagates
-    through each encode call. Dropout streams derive from `rng` by name, so
-    the same rng reproduces the same masks. The model's inert modules
-    (`Model.inert_modules`) get no gradient, and the backward pass stops
-    below the lowest module that does; every other gradient is bit-equal
-    to the full pass.
+    views `losses.TERM_VIEWS` names in its modalities' view tables, places
+    its gradients on those rows, combines the terms with the configured
+    weights, and backpropagates through each encode call. Dropout streams
+    derive from `rng` by name, so the same rng reproduces the same masks.
+    The model's inert modules (`Model.inert_modules`) get no gradient, and
+    the backward pass stops below the lowest module that does; every other
+    gradient is bit-equal to the full pass.
 
     Returns (value, grads, term_values).
     """
@@ -229,63 +230,49 @@ def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
         labels = losses.diagonal_label_matrix(n)
     else:
         labels = losses.build_labels(batch.ids, batch.ids)
-
     tau = model.tau
-    fi = {view: EmbeddingBatch(z, batch.ids, normalized=True) for view, (z, _) in img.items()}
-    ft = {view: EmbeddingBatch(z, batch.ids, normalized=True) for view, (z, _) in txt.items()}
 
-    def pair(name):
-        view_i, view_t = losses.TERM_VIEWS[name]
-        return fi[view_i], ft[view_t]
+    def view_table(encoded):
+        views = {view: EmbeddingBatch(z, batch.ids, normalized=True) for view, (z, _) in encoded.items()}
+        if "alt" in views:
+            both = np.vstack([views["orig"].features, views["alt"].features])
+            views["both"] = EmbeddingBatch(both, np.concatenate([batch.ids, batch.ids]), normalized=True)
+        return views
 
-    terms = {}
-    if "n_itc" in active:
-        f_img, f_txt = pair("n_itc")
-        n_labels = labels
-        if loss_cfg.soft_label:
-            # targets mix in the model's own current matching distribution;
-            # the distribution itself is held constant (no gradient through it)
-            sim = f_img.features @ f_txt.features.T
-            n_labels = losses.soft_label(
-                labels, softmax_rows(sim, tau), softmax_rows(sim.T, tau)
-            )
-        terms["n_itc"] = losses.n_itc(f_img, f_txt, n_labels, tau)
-    if "r_itc" in active:
-        terms["r_itc"] = losses.r_itc(*pair("r_itc"), labels, tau, eps=loss_cfg.eps)
-    if "c_itc" in active:
-        terms["c_itc"] = losses.c_itc(*pair("c_itc"))
+    tables = (view_table(img), view_table(txt))
 
-    mvs = [k for k in active if k.startswith("mvs_")]
-    if mvs:
-        terms.update(losses.mvs_terms(
-            fi["orig"], fi.get("alt"), ft["orig"], ft.get("alt"), labels, tau, wanted=mvs
-        ))
-
-    def view_contrast(encoded):
-        """ss_loss over one modality's [orig; alt] stack."""
-        views = EmbeddingBatch(
-            np.vstack([encoded["orig"][0], encoded["alt"][0]]),
-            np.concatenate([batch.ids, batch.ids]),
-            normalized=True,
-        )
-        return losses.ss_loss(views, losses.make_view_pairing(n), loss_cfg.tau_s)
-
-    # an SS term is the view contrast of each modality it reads, under one weight
-    ss = [k for k in active if "both" in losses.TERM_VIEWS[k]]
-    ss_img = view_contrast(img) if any(losses.TERM_VIEWS[k][0] for k in ss) else None
-    ss_txt = view_contrast(txt) if any(losses.TERM_VIEWS[k][1] for k in ss) else None
-    for name in ss:
-        view_i, view_t = losses.TERM_VIEWS[name]
-        terms[name] = LossResult(
-            value=(ss_img.value if view_i else 0.0) + (ss_txt.value if view_t else 0.0),
-            grad_image=ss_img.grad_image if view_i else None,
-            grad_text=ss_txt.grad_image if view_t else None,
-        )
+    @functools.cache
+    def contrast(side):
+        """ss_loss over one modality's "both" view, once per step."""
+        return losses.ss_loss(tables[side]["both"], losses.make_view_pairing(n), loss_cfg.tau_s)
 
     rows = {"orig": slice(0, n), "alt": slice(n, 2 * n), "both": slice(0, 2 * n)}
     placed = {}
-    for name, res in terms.items():
+    for name in active:
         view_i, view_t = losses.TERM_VIEWS[name]
+        f_img, f_txt = tables[0].get(view_i), tables[1].get(view_t)
+        if name == "n_itc":
+            n_labels = labels
+            if loss_cfg.soft_label:
+                # targets mix in the model's own current matching distribution;
+                # the distribution itself is held constant (no gradient through it)
+                sim = f_img.features @ f_txt.features.T
+                n_labels = losses.soft_label(labels, softmax_rows(sim, tau), softmax_rows(sim.T, tau))
+            res = losses.n_itc(f_img, f_txt, n_labels, tau)
+        elif name == "r_itc":
+            res = losses.r_itc(f_img, f_txt, labels, tau, eps=loss_cfg.eps)
+        elif name == "c_itc":
+            res = losses.c_itc(f_img, f_txt)
+        elif name.startswith("mvs_"):
+            res = losses.mvs_terms(
+                tables[0]["orig"], tables[0].get("alt"), tables[1]["orig"], tables[1].get("alt"),
+                labels, tau, wanted=(name,),
+            )[name]
+        else:  # SS: the view contrast of each modality the term reads, under one weight
+            ss_img, ss_txt = (
+                contrast(side) if view else LossResult(0.0) for side, view in enumerate((view_i, view_t))
+            )
+            res = LossResult(ss_img.value + ss_txt.value, ss_img.grad_image, ss_txt.grad_image)
         grad_image, grad_text = np.zeros((2 * n, d)), np.zeros((2 * n, d))
         if view_i:
             grad_image[rows[view_i]] = res.grad_image
@@ -308,7 +295,7 @@ def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
         if not np.all(np.isfinite(g)):
             raise NonFiniteLoss("a parameter gradient became non-finite")
 
-    return float(total.value), grads, {k: float(v.value) for k, v in terms.items()}
+    return float(total.value), grads, {k: float(v.value) for k, v in placed.items()}
 
 
 def train_step(
@@ -354,6 +341,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 2:
             raise ValueError("need epochs >= 1 and batch_size >= 2")
+        # the schedule's own checks on the rates and the warmup fraction
+        Schedule(1, self.lr_init, self.lr_peak, self.lr_final, self.warmup_frac)
+        if not (self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """End-to-end command-line checks on a micro corpus."""
 
+import csv
 import json
 import os
 import struct
@@ -8,8 +9,9 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from test_config import LATE_FAILURES
 
-from tbpslab import experiments
+from tbpslab import cli, experiments
 from tbpslab.cli import main
 from tbpslab.config import fingerprint, materialize, resolve
 from tbpslab.data import load_jsonl, oracle_rank1
@@ -265,6 +267,73 @@ class TestExitCodes:
         assert main(["compress", *MICRO, "--mode", "freeze", "--xs", "0,1,9"]) == 2
         assert "x must be in [0, 3], got 9" in capsys.readouterr().err
         assert runs == []
+
+
+@pytest.mark.parametrize("override", LATE_FAILURES)
+def test_bad_value_fails_before_any_run(override, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(experiments, "run_training", lambda *a, **k: runs.append(a))
+    assert main(["train", *MICRO, "--set", override]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert runs == []
+
+
+def compress_rows(argv, tmp_path) -> list:
+    """The rows of `tbpslab compress argv` on MICRO, as dicts of strings."""
+    out = tmp_path / "tab"
+    assert main(["compress", *MICRO, *argv, "--outdir", str(out)]) == 0
+    (table,) = out.glob("compress-*.csv")
+    with open(table, newline="") as fh:
+        return list(csv.DictReader(fh.readlines()[1:]))
+
+
+def test_compress_freeze_skips_the_layers_the_config_freezes(tmp_path, monkeypatch):
+    runs = count_runs(monkeypatch)
+    argv = ["--set", "freeze_modules=[txt.hidden.0]", "--mode", "freeze", "--xs", "0,1"]
+    rows = compress_rows(argv, tmp_path)
+    assert rows[0]["modules"] == "()"
+    assert rows[1]["modules"] in ("('txt.hidden.1',)", "('txt.hidden.2',)")
+    assert int(rows[1]["trainable"]) < int(rows[0]["trainable"])
+    assert len(runs) == 2 and len({fp for fp, _ in runs}) == 2
+
+
+def test_compress_drop_keeps_the_layers_the_config_drops(tmp_path, monkeypatch):
+    runs = count_runs(monkeypatch)
+    argv = ["--set", "model.dropped_text_layers=[1]", "--mode", "drop", "--xs", "0,1"]
+    rows = compress_rows(argv, tmp_path)
+    # the x = 0 row is the scoring run itself, layer 1 still dropped
+    scoring = experiments.variant(micro_experiment(), {"model": {"dropped_text_layers": [1]}})
+    assert len(runs) == 2 and runs[0][0] == fingerprint(scoring.raw)
+    assert rows[1]["modules"] in ("('txt.hidden.0',)", "('txt.hidden.2',)")
+    assert int(rows[1]["trainable"]) < int(rows[0]["trainable"])
+
+
+def test_compress_budget_counts_only_the_layers_that_train(monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(experiments, "run_training", lambda *a, **k: runs.append(a))
+    argv = ["--set", "model.dropped_text_layers=[1]", "--mode", "drop", "--xs", "0,3"]
+    assert main(["compress", *MICRO, *argv]) == 2
+    assert "x must be in [0, 2], got 3" in capsys.readouterr().err
+    assert runs == []
+
+
+def test_selftest_passes(capsys):
+    assert main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("PASS ") for line in lines) == 6
+    assert not any(line.startswith("FAIL ") for line in lines)
+
+
+def test_selftest_reports_a_failing_check(monkeypatch, capsys):
+    def broken():
+        raise AssertionError("broken on purpose")
+
+    checks = cli._selftest_checks()
+    schedule = [check for check in checks if check[0] == "schedule endpoints"]
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: [*schedule, ("broken", broken)])
+    assert main(["selftest"]) == 3
+    out = capsys.readouterr().out
+    assert "PASS schedule endpoints" in out and "FAIL broken: broken on purpose" in out
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,23 @@ from tbpslab.model import ModelConfig, init_model, load_checkpoint, save_checkpo
 from tbpslab.numerics import Rng
 from tbpslab.schema import load
 
+# values each component accepted while a run used them wrongly or failed
+# only inside training: the schedule, a negative decay or loss weight, a
+# zero r_itc floor, an unknown or repeated frozen module, a repeated
+# dropped layer
+LATE_FAILURES = [
+    "train.warmup_frac=2",
+    "train.lr_peak=-1",
+    "train.lr_init=0",
+    "train.weight_decay=-5",
+    "loss.weights.ss_i=-0.3",
+    "loss.weights.n_itc=.inf",
+    "loss.eps=0",
+    "freeze_modules=[img.bogus]",
+    "freeze_modules=[img.patch, img.patch]",
+    "model.dropped_text_layers=[1, 1]",
+]
+
 
 class TestLayering:
     def test_defaults_resolve_clean(self):
@@ -150,6 +167,11 @@ class TestValidation:
     def test_bad_augment_values_rejected_at_config_time(self, override):
         with pytest.raises(ConfigError, match=override.split(".")[1].split("=")[0]):
             resolve(preset="tbps-clip", overrides=[override])
+
+    @pytest.mark.parametrize("override", LATE_FAILURES)
+    def test_values_that_used_to_fail_in_training_rejected_at_config_time(self, override):
+        with pytest.raises(ConfigError):
+            resolve(overrides=[override])
 
     def test_weight_for_unknown_term_rejected(self):
         with pytest.raises(ConfigError, match="wurst"):

@@ -382,6 +382,19 @@ class TestTrainStep:
             assert np.array_equal(model.params[key], before[key]), key
         assert not np.array_equal(model.params["img.out.W"], before["img.out.W"])
 
+    def test_each_view_contrast_is_computed_once_per_step(self, monkeypatch):
+        # ss_i and ss_it both read the image "both" view; one ss_loss call
+        # serves both, and one serves ss_it and ss_t on the text side
+        model, samples = small_setup()
+        batch = assemble_batch(samples[:4], FULL_AUG, Rng(6))
+        calls = []
+        ss_loss = train.losses.ss_loss
+        monkeypatch.setattr(train.losses, "ss_loss", lambda *a: calls.append(a) or ss_loss(*a))
+        cfg = LossConfig(weights={"n_itc": 1.0, "ss_i": 0.3, "ss_it": 0.2, "ss_t": 0.1})
+        _, _, terms = loss_and_grads(model, batch, cfg, Rng(3))
+        assert len(calls) == 2
+        assert terms["ss_it"] == terms["ss_i"] + terms["ss_t"]
+
     def test_tau_clamped(self):
         model, samples = small_setup()
         model.params["log_tau"] = np.array(np.log(0.0101))
