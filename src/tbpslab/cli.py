@@ -193,6 +193,7 @@ def _selftest_checks():
     trips, and run reproducibility. The statistical and training-quality
     criteria live in the package's test suite, which runs these too."""
     import tempfile
+    from dataclasses import replace
 
     from .augment import AugmentConfig
     from .data import ToySpec, build_vocab, generate_toy
@@ -200,7 +201,7 @@ def _selftest_checks():
     from .evaluate import rank1_scorer, retrieval_metrics
     from .losses import LossConfig
     from .model import ModelConfig, init_model, save_checkpoint
-    from .train import Schedule, assemble_batch, loss_and_grads
+    from .train import Schedule, assemble_batch, loss_and_grads, tower_copy
 
     def check_gradients():
         ds = generate_toy(ToySpec(n_identities=4, images_per_identity=2), Rng(11))
@@ -228,6 +229,19 @@ def _selftest_checks():
             lambda: loss_and_grads(model, batch, lcfg, Rng(14))[0], model.params, grads, coords
         )
         assert worst < 1e-4, f"worst relative gradient error {worst:.2e}"
+
+    def check_precision():
+        for preset in ("clip-baseline", "tbps-clip"):
+            exp = materialize(resolve(preset=preset, overrides=["data.n_identities=10"]))
+            ds = experiments.build_dataset(exp)
+            model = init_model(replace(exp.model, vocab=build_vocab(ds.train)), Rng(16))
+            batch = assemble_batch(ds.train[:16], exp.augment, Rng(17), loss_cfg=exp.loss)
+            v64, g64, _ = loss_and_grads(model, batch, exp.loss, Rng(18))
+            v32, g32, _ = loss_and_grads(tower_copy(model), batch, exp.loss, Rng(18))
+            assert abs(v32 - v64) <= 1e-5 * abs(v64), f"{preset}: loss {v32} in float32, {v64} in float64"
+            for key, g in g64.items():
+                gap = np.linalg.norm(g32[key] - g) / np.linalg.norm(g)
+                assert gap <= 1e-3, f"{preset}: {key} gradient off by {gap:.1e} of its norm"
 
     def check_schedule():
         s = Schedule(total_steps=200)
@@ -294,6 +308,7 @@ def _selftest_checks():
 
     return [
         ("analytic gradients match finite differences", check_gradients),
+        ("float32 towers agree with float64", check_precision),
         ("schedule endpoints", check_schedule),
         ("retrieval metric hand case", check_metrics),
         ("contribution scorer equals evaluate_model", check_scorer),

@@ -166,10 +166,10 @@ class LossConfig:
                 raise ValueError(f"loss weight '{name}' must be finite and >= 0, got {weight}")
         if not any(w > 0 for w in self.weights.values()):
             raise ValueError("at least one loss weight must be positive")
-        if not (self.tau_s > 0):
-            raise NonPositiveTemperature(f"tau_s must be > 0, got {self.tau_s}")
-        if not (self.eps > 0):
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not (0 < self.tau_s < np.inf):
+            raise NonPositiveTemperature(f"tau_s must be finite and > 0, got {self.tau_s}")
+        if not (0 < self.eps < np.inf):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 def _check_pair(img: EmbeddingBatch, txt: EmbeddingBatch, labels: LabelMatrix | None = None):

@@ -16,6 +16,16 @@ All gradients are hand-derived; `backward_image` / `backward_text` implement
 the exact chain rule for the forward passes here, and the test suite holds
 them against finite differences end to end.
 
+Precision: the passes compute in the dtype of the parameters they are
+given. Training gives them a float32 copy (`train.tower_copy`), so float32
+starts where the images (float64 in the corpus and the view worker), the
+embedding rows and the dropout masks enter a tower, and stops at
+`l2_normalize_rows`, which returns float64 embeddings for the losses. On
+the way back, the float64 gradient from `l2_normalize_rows_backward` is
+cast to the tower's dtype, and the passes return parameter gradients in
+that dtype; the embedding-table scatter alone runs in float64. Evaluation,
+checkpoints and the finite-difference checks use the float64 parameters.
+
 Freezing is tracked per module ("img.patch", "txt.hidden.2", ...). Frozen
 modules still participate in the forward pass but receive zero updates.
 Dropped text layers are skipped by the forward pass entirely and excluded
@@ -73,8 +83,8 @@ class ModelConfig:
             )
         if not (0 <= self.dropout < 1):
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not (self.tau_init > 0):
-            raise ValueError(f"tau_init must be > 0, got {self.tau_init}")
+        if not (0 < self.tau_init < np.inf):
+            raise ValueError(f"tau_init must be finite and > 0, got {self.tau_init}")
         for i in self.dropped_text_layers:
             if not (0 <= i < self.text_layers):
                 raise BadLayerId(f"dropped text layer {i} outside [0, {self.text_layers})")
@@ -258,11 +268,11 @@ def encode_image(model: Model, images) -> tuple:
     intermediate needed by backward_image.
     """
     cfg = model.config
-    images = np.asarray(images, dtype=np.float64)
+    p = model.params
+    images = np.asarray(images, dtype=p["img.patch.W"].dtype)
     expect = (cfg.image_height, cfg.image_width, 3)
     if images.ndim != 4 or images.shape[1:] != expect:
         raise ShapeMismatch(f"images must be (B, {expect[0]}, {expect[1]}, 3), got {images.shape}")
-    p = model.params
     patches = _extract_patches(cfg, images)
     first = patches @ p["img.patch.W"] + p["img.patch.b"]
     act = first
@@ -284,7 +294,7 @@ def backward_image(model: Model, cache: ImageCache, grad_embed: np.ndarray, grad
     cfg = model.config
     p = model.params
     inert = model.inert_modules()
-    g_raw = l2_normalize_rows_backward(cache.raw_out, grad_embed)
+    g_raw = l2_normalize_rows_backward(cache.raw_out, grad_embed).astype(cache.raw_out.dtype, copy=False)
 
     if "img.out" not in inert:
         _acc(grads, "img.out.W", cache.pooled.T @ g_raw)
@@ -347,12 +357,12 @@ def encode_text(model: Model, token_lists, train: bool = False, rng: Rng | None 
         mask = None
         act = pre
         if rate > 0:
-            mask = (rng.random(size=pre.shape) >= rate) / (1.0 - rate)
+            mask = ((rng.random(size=pre.shape) >= rate) / (1.0 - rate)).astype(pre.dtype, copy=False)
             act = pre * mask
         acts.append((i, pre, mask, act))
 
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    pooled = np.add.reduceat(act, starts, axis=0) / lengths[:, None]
+    pooled = np.add.reduceat(act, starts, axis=0) / lengths[:, None].astype(act.dtype)
     raw = pooled @ p["txt.out.W"] + p["txt.out.b"]
     z = l2_normalize_rows(raw)
     return z, TextCache(
@@ -368,7 +378,7 @@ def backward_text(model: Model, cache: TextCache, grad_embed: np.ndarray, grads:
     Dropped layers are not in the cache, so they never get one."""
     p = model.params
     inert = model.inert_modules()
-    g_raw = l2_normalize_rows_backward(cache.raw_out, grad_embed)
+    g_raw = l2_normalize_rows_backward(cache.raw_out, grad_embed).astype(cache.raw_out.dtype, copy=False)
 
     if "txt.out" not in inert:
         _acc(grads, "txt.out.W", cache.pooled.T @ g_raw)
@@ -380,7 +390,7 @@ def backward_text(model: Model, cache: TextCache, grad_embed: np.ndarray, grads:
     lowest = live.index(True)  # index into `chain`: kept layer pos is pos + 1
     g_pooled = g_raw @ p["txt.out.W"].T
 
-    g_rows = np.repeat(g_pooled / cache.lengths[:, None], cache.lengths, axis=0)
+    g_rows = np.repeat(g_pooled / cache.lengths[:, None].astype(g_pooled.dtype), cache.lengths, axis=0)
     for pos in reversed(range(len(cache.acts))):
         i, pre, mask, _ = cache.acts[pos]
         if mask is not None:
@@ -395,9 +405,11 @@ def backward_text(model: Model, cache: TextCache, grad_embed: np.ndarray, grads:
             return
         g_rows = g_z @ p[f"txt.hidden.{i}.W"].T
 
-    g_table = np.zeros_like(p["txt.embed.W"])
-    np.add.at(g_table, cache.ids, g_rows)
-    _acc(grads, "txt.embed.W", g_table)
+    # the scatter runs in float64 whatever the tower's dtype: np.add.at
+    # took about 7x as long on float32 rows
+    g_table = np.zeros(p["txt.embed.W"].shape)
+    np.add.at(g_table, cache.ids, g_rows.astype(np.float64, copy=False))
+    _acc(grads, "txt.embed.W", g_table.astype(g_rows.dtype, copy=False))
 
 
 def _acc(grads: dict, key: str, value: np.ndarray):

@@ -13,6 +13,16 @@ The optimizer skips frozen modules and dropped text layers entirely: their
 tensors keep their exact bytes, which the freeze tests pin down. The
 backward passes compute no gradient for them either.
 
+Precision: the towers compute in float32 during training, on float64
+master weights, as mixed-precision training does. `train_step` hands
+`loss_and_grads` a float32 copy of the model (`tower_copy`); the towers
+take float32 from there to the normalized embeddings (see `model`), and
+the embeddings, every loss term and the gradients on them are float64.
+`AdamW.step` casts the towers' float32 parameter gradients to float64, and
+the parameters, the moments and the update stay float64. Given a float64
+model, as the finite-difference checks give it, `loss_and_grads` is the
+float64 computation.
+
 When a run builds augmented image views, `fit` has a worker process
 (`prefetch.ViewWorker`) build them a few steps ahead.
 """
@@ -34,6 +44,7 @@ from .numerics import Rng, softmax_rows
 from .prefetch import ViewWorker, image_streams
 
 LOG_TAU_MIN = math.log(0.01)
+TOWER_DTYPE = np.float32  # what the towers compute in during training
 
 
 class NonFiniteLoss(FloatingPointError):
@@ -68,8 +79,8 @@ class Schedule:
             raise ValueError("total_steps must be >= 1")
         if not (0 < self.warmup_frac < 1):
             raise ValueError(f"warmup_frac must be in (0, 1), got {self.warmup_frac}")
-        if min(self.lr_init, self.lr_peak, self.lr_final) <= 0:
-            raise ValueError("learning rates must be positive")
+        if not all(0 < lr < math.inf for lr in (self.lr_init, self.lr_peak, self.lr_final)):
+            raise ValueError("learning rates must be finite and positive")
 
     @property
     def warmup_steps(self) -> float:
@@ -298,6 +309,13 @@ def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
     return float(total.value), grads, {k: float(v.value) for k, v in placed.items()}
 
 
+def tower_copy(model: Model) -> Model:
+    """The model with its tower tensors cast to TOWER_DTYPE: same config,
+    frozen set and (float64) temperature."""
+    params = {k: v if k == "log_tau" else v.astype(TOWER_DTYPE) for k, v in model.params.items()}
+    return Model(config=model.config, params=params, frozen=set(model.frozen))
+
+
 def train_step(
     model: Model,
     batch: Batch,
@@ -308,10 +326,12 @@ def train_step(
 ) -> StepStats:
     """One optimization step: gradients, update, temperature clamp.
 
-    Frozen modules and dropped text layers are excluded from the update,
-    so their tensors keep their exact bytes.
+    The gradients come from a float32 copy of the model (`tower_copy`); the
+    update applies to `model`'s float64 parameters. Frozen modules and
+    dropped text layers are excluded from the update, so their tensors
+    keep their exact bytes.
     """
-    value, grads, term_values = loss_and_grads(model, batch, loss_cfg, rng)
+    value, grads, term_values = loss_and_grads(tower_copy(model), batch, loss_cfg, rng)
 
     inert = model.inert_modules()
     skip = {key for key in grads if module_of(key) in inert}

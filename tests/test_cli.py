@@ -320,7 +320,7 @@ def test_compress_budget_counts_only_the_layers_that_train(monkeypatch, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert sum(line.startswith("PASS ") for line in lines) == 6
+    assert sum(line.startswith("PASS ") for line in lines) == 7
     assert not any(line.startswith("FAIL ") for line in lines)
 
 

@@ -31,7 +31,7 @@ from tbpslab.schema import load
 # values each component accepted while a run used them wrongly or failed
 # only inside training: the schedule, a negative decay or loss weight, a
 # zero r_itc floor, an unknown or repeated frozen module, a repeated
-# dropped layer
+# dropped layer, a NaN or infinite rate, temperature or floor
 LATE_FAILURES = [
     "train.warmup_frac=2",
     "train.lr_peak=-1",
@@ -43,6 +43,11 @@ LATE_FAILURES = [
     "freeze_modules=[img.bogus]",
     "freeze_modules=[img.patch, img.patch]",
     "model.dropped_text_layers=[1, 1]",
+    "train.lr_peak=.nan",
+    "train.lr_final=.inf",
+    "model.tau_init=.inf",
+    "loss.tau_s=.inf",
+    "loss.eps=.inf",
 ]
 
 

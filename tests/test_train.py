@@ -1,6 +1,7 @@
 """Training tests: schedule endpoints and shape, an optimizer reference
 implementation, batch assembly determinism, a finite-difference check of
-the fully stacked step gradient, freeze hygiene, and loop behavior."""
+the fully stacked step gradient, freeze hygiene, loop behavior, and the
+float32 towers on float64 master weights."""
 
 import dataclasses
 
@@ -9,11 +10,17 @@ import pytest
 
 from tbpslab import train
 from tbpslab.augment import AugmentConfig, builtin_lexicon, eda, tokenize
+from tbpslab.config import materialize, resolve
 from tbpslab.data import ToySpec, build_vocab, generate_toy
+from tbpslab.experiments import build_dataset
 from tbpslab.losses import LossConfig
 from tbpslab.model import (
     ModelConfig,
+    backward_image,
+    backward_text,
     clone_model,
+    encode_image,
+    encode_text,
     freeze,
     init_model,
     module_of,
@@ -31,6 +38,7 @@ from tbpslab.train import (
     assemble_batch,
     fit,
     loss_and_grads,
+    tower_copy,
     train_step,
 )
 
@@ -512,3 +520,96 @@ class TestParameterAccounting:
         batch = synthetic_batch(samples[:3], Rng(0))
         train_step(model, batch, LossConfig(weights={"n_itc": 1.0}), opt, 1e-2, Rng(0))
         assert np.array_equal(model.params["img.hidden.0.W"], snapshot.params["img.hidden.0.W"])
+
+
+def preset_setup(preset, seed=3):
+    """A float64 model of `preset` at the corpus raster, one 16-sample batch
+    with the views its loss terms read, and its loss config."""
+    exp = materialize(resolve(preset=preset, overrides=["data.n_identities=10"]))
+    ds = build_dataset(exp)
+    model = init_model(dataclasses.replace(exp.model, vocab=build_vocab(ds.train)), Rng(seed))
+    freeze(model, exp.freeze_modules)
+    batch = assemble_batch(ds.train[:16], exp.augment, Rng(seed + 1), loss_cfg=exp.loss)
+    return model, batch, exp.loss
+
+
+def float_arrays(cache) -> list:
+    """Every floating-point array an encoder cache holds, nested ones too."""
+    found = []
+
+    def visit(x):
+        if isinstance(x, np.ndarray) and x.dtype.kind == "f":
+            found.append(x)
+        elif isinstance(x, (list, tuple)):
+            for item in x:
+                visit(item)
+
+    for f in dataclasses.fields(cache):
+        visit(getattr(cache, f.name))
+    return found
+
+
+class TestPrecision:
+    """The towers compute in the dtype of the parameters they are given;
+    training hands them a float32 copy and keeps float64 master weights."""
+
+    @pytest.mark.parametrize("copy, dtype", [(True, np.float32), (False, np.float64)])
+    def test_tower_arrays_follow_the_parameter_dtype(self, copy, dtype):
+        model, batch, _ = preset_setup("tbps-clip")
+        model.frozen.clear()  # every gradient path runs
+        if copy:
+            model = tower_copy(model)
+        # the batch's images and the worker's views arrive as float64
+        assert batch.images.dtype == batch.images_aug.dtype == np.float64
+        grads = {}
+        caches = []
+        for images in (batch.images, batch.images_aug):
+            z, cache = encode_image(model, images)
+            backward_image(model, cache, z[:, ::-1].copy(), grads)
+            caches.append(cache)
+        z, cache = encode_text(model, batch.tokens, train=True, rng=Rng(5))
+        backward_text(model, cache, z[::-1].copy(), grads)
+        caches.append(cache)
+        assert z.dtype == np.float64  # the losses read float64 embeddings
+        assert any(mask is not None for _, _, mask, _ in cache.acts)
+        for cache in caches:
+            assert {a.dtype for a in float_arrays(cache)} == {np.dtype(dtype)}, type(cache).__name__
+        assert sorted(grads) == sorted(k for k in model.params if k != "log_tau")
+        assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("preset", ["clip-baseline", "tbps-clip"])
+    def test_float32_copy_agrees_with_the_float64_model(self, preset):
+        model, batch, loss_cfg = preset_setup(preset)
+        assert model.config.dropout > 0 or preset == "clip-baseline"
+        v64, g64, t64 = loss_and_grads(model, batch, loss_cfg, Rng(9))
+        v32, g32, t32 = loss_and_grads(tower_copy(model), batch, loss_cfg, Rng(9))
+        assert abs(v32 - v64) <= 1e-5 * abs(v64)
+        assert t32 == pytest.approx(t64, rel=1e-5)
+        assert sorted(g32) == sorted(g64)
+        for key, g in g64.items():
+            assert np.linalg.norm(g32[key] - g) <= 1e-3 * np.linalg.norm(g), key
+
+    def test_fit_computes_in_float32_on_float64_master_weights(self, monkeypatch):
+        made = []
+
+        def recording_adamw(**kwargs):
+            made.append(AdamW(**kwargs))
+            return made[-1]
+
+        real = train.loss_and_grads
+        seen = set()
+
+        def recording_loss_and_grads(model, *args):
+            seen.update(v.dtype for k, v in model.params.items() if k != "log_tau")
+            return real(model, *args)
+
+        monkeypatch.setattr(train, "AdamW", recording_adamw)
+        monkeypatch.setattr(train, "loss_and_grads", recording_loss_and_grads)
+        ds = tiny_corpus(n_ids=4, images=2)
+        model, samples = TestFit._model_for(ds)
+        fit(model, samples, FULL_STACK, FULL_AUG, TrainConfig(epochs=2, batch_size=4), Rng(1))
+        assert seen == {np.dtype(np.float32)}  # the towers computed in float32
+        (opt,) = made
+        assert opt.t > 0 and sorted(opt.m) == sorted(opt.v) == sorted(model.params)
+        for table in (model.params, opt.m, opt.v):
+            assert {v.dtype for v in table.values()} == {np.dtype(np.float64)}
