@@ -197,7 +197,7 @@ def _selftest_checks():
 
     from .augment import AugmentConfig
     from .data import ToySpec, build_vocab, generate_toy
-    from .analyze import reset_module
+    from .analyze import interpolate, reset_module
     from .evaluate import rank1_scorer, retrieval_metrics
     from .losses import LossConfig
     from .model import ModelConfig, init_model, save_checkpoint
@@ -268,9 +268,14 @@ def _selftest_checks():
             reset_module(run.model, run.model_init, "img.out"),
             reset_module(run.model, run.model_init, "txt.hidden.2"),
         ]
-        got = [score(m) for m in probes]
-        assert got == [evaluate_model(m, samples).rank1 for m in probes], got
-        assert len(set(got)) == len(probes), f"probes do not move Rank-1: {got}"
+        # mid-tower probes: the scorer continues from the cached layer below
+        mid_tower = [
+            interpolate(run.model_init, run.model, "img.hidden.1", 0.5),
+            interpolate(run.model_init, run.model, "txt.hidden.0", 0.5),
+        ]
+        got = [score(m) for m in probes + mid_tower]
+        assert got == [evaluate_model(m, samples).rank1 for m in probes + mid_tower], got
+        assert len(set(got[: len(probes)])) == len(probes), f"probes do not move Rank-1: {got}"
 
     def check_round_trips():
         with tempfile.TemporaryDirectory() as tmp:

@@ -16,12 +16,22 @@ product). Conventions, also printed in every report header:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .augment import tokenize
-from .model import Model, clone_model, encode_image, encode_text
+from .model import (
+    Model,
+    clone_model,
+    encode_image,
+    encode_text,
+    image_chain,
+    image_from,
+    text_chain,
+    text_from,
+)
 from .numerics import ShapeMismatch
 
 
@@ -129,18 +139,23 @@ def rank1_rate(sim: np.ndarray, query_ids, gallery_ids) -> float:
     return int(np.count_nonzero(gallery_ids[top] == query_ids)) / len(query_ids)
 
 
+def _pixel_digest(image: np.ndarray) -> bytes:
+    return hashlib.sha256(image.tobytes()).digest()
+
+
 def unique_images(samples) -> tuple:
     """Deduplicated image stack and identity array. Samples that share an
     image (several captions of one photo) collapse to one gallery item;
-    duplicates are detected by exact pixel bytes."""
+    duplicates are detected by exact pixel bytes, looked up by their
+    digest, so only the gallery itself stays in memory."""
     if not samples:
         raise EmptyGallery("no samples")
     images, ids, seen = [], [], {}
     for s in samples:
-        key = s.image.tobytes()
-        if key in seen:
+        candidates = seen.setdefault(_pixel_digest(s.image), [])
+        if any(images[j].tobytes() == s.image.tobytes() for j in candidates):
             continue
-        seen[key] = True
+        candidates.append(len(images))
         images.append(s.image)
         ids.append(s.identity)
     return np.stack(images), np.array(ids, dtype=np.int64)
@@ -168,8 +183,8 @@ def evaluate_model(model: Model, samples) -> RetrievalReport:
     """Caption-to-image retrieval over one split: every caption queries the
     deduplicated image gallery."""
     split = prepare_split(samples)
-    g_embed, _ = encode_image(model, split.gallery)
-    q_embed, _ = encode_text(model, split.tokens)
+    g_embed = encode_image(model, split.gallery)[0]  # its cache goes before the text tower runs
+    q_embed = encode_text(model, split.tokens)[0]
     return retrieval_metrics(q_embed @ g_embed.T, split.query_ids, split.gallery_ids)
 
 
@@ -177,11 +192,14 @@ def rank1_scorer(reference: Model, samples):
     """A function mapping a model to its Rank-1 on `samples`, equal to
     `evaluate_model(model, samples).rank1`.
 
-    The split is prepared and both towers of `reference` are encoded once.
-    A probe re-encodes a tower only when its config or one of that tower's
-    tensors differs from the reference; otherwise it reuses the reference
-    embeddings. Only those two embedding matrices are kept, next to a copy
-    of `reference`, so later edits to it cannot stale them.
+    The split is prepared and both towers of `reference` are encoded once,
+    keeping every activation of the two passes. A probe with the
+    reference's config recomputes each tower only from the lowest module
+    whose tensors differ from the reference (`image_from`, `text_from`),
+    on the cached activations below it, and reuses the reference
+    embeddings of a tower it leaves unchanged. A probe with another config
+    is encoded in full. The caches belong to a copy of `reference`, so
+    later edits to it cannot stale them.
     """
     reference = clone_model(reference)
     split = prepare_split(samples)
@@ -189,21 +207,30 @@ def rank1_scorer(reference: Model, samples):
     if len(orphans):
         qi = int(orphans[0])
         raise NoPositive(f"query {qi} (identity {split.query_ids[qi]}) has no relevant gallery item")
-    ref_g, _ = encode_image(reference, split.gallery)
-    ref_q, _ = encode_text(reference, split.tokens)
+    ref_g, g_cache = encode_image(reference, split.gallery)
+    ref_q, q_cache = encode_text(reference, split.tokens)
+    chains = {
+        tower: [reference.module_keys(m) for m in chain]
+        for tower, chain in (("img", image_chain(reference.config)), ("txt", text_chain(reference.config)))
+    }
 
-    def same_tower(model: Model, prefix: str) -> bool:
-        if model.config != reference.config:
-            return False
-        mine = [k for k in model.params if k.startswith(prefix)]
-        theirs = [k for k in reference.params if k.startswith(prefix)]
-        return sorted(mine) == sorted(theirs) and all(
-            np.array_equal(model.params[k], reference.params[k]) for k in mine
-        )
+    def first_change(model: Model, tower: str) -> int | None:
+        """Index into the tower's chain of the lowest module whose tensors
+        differ from the reference, or None when none does."""
+        for start, keys in enumerate(chains[tower]):
+            if not all(np.array_equal(model.params[k], reference.params[k]) for k in keys):
+                return start
+        return None
 
     def score(model: Model) -> float:
-        g_embed = ref_g if same_tower(model, "img.") else encode_image(model, split.gallery)[0]
-        q_embed = ref_q if same_tower(model, "txt.") else encode_text(model, split.tokens)[0]
+        if model.config != reference.config or model.params.keys() != reference.params.keys():
+            g_embed = encode_image(model, split.gallery)[0]
+            q_embed = encode_text(model, split.tokens)[0]
+        else:
+            start = first_change(model, "img")
+            g_embed = ref_g if start is None else image_from(model, g_cache, start)[0]
+            start = first_change(model, "txt")
+            q_embed = ref_q if start is None else text_from(model, q_cache, start)[0]
         return rank1_rate(q_embed @ g_embed.T, split.query_ids, split.gallery_ids)
 
     return score

@@ -12,6 +12,12 @@ average patch contents into a near-uniform blur and identities would become
 indistinguishable. After the tanh stack, pooling sees a bag of nonlinear
 patch/token descriptors, which is enough to separate attribute bundles.
 
+Each forward pass is an input stage (patches, token ids) and one
+continuation (`image_from`, `text_from`) that can start at any module of
+the tower, on the activations an earlier pass cached below it. The
+contribution scorer continues its probes this way; a full encode is the
+continuation from the first module.
+
 All gradients are hand-derived; `backward_image` / `backward_text` implement
 the exact chain rule for the forward passes here, and the test suite holds
 them against finite differences end to end.
@@ -44,7 +50,6 @@ from .numerics import Rng, ShapeMismatch, l2_normalize_rows, l2_normalize_rows_b
 from .schema import load
 
 CHECKPOINT_MAGIC = b"TTLAB001"
-MIN_TAU = 0.01
 MAX_TEXT_TOKENS = 77  # the one truncation point for captions
 UNK_ID = 0
 
@@ -236,29 +241,60 @@ def freeze(model: Model, modules) -> Model:
 @dataclass
 class ImageCache:
     patches: np.ndarray  # (B, P, ppc)
-    pre_acts: list  # per hidden layer, (B, P, h) tanh outputs
-    first: np.ndarray  # patch projection output (B, P, h)
-    pooled: np.ndarray  # (B, h)
-    raw_out: np.ndarray  # (B, d) before normalization
+    pre_acts: list = field(default_factory=list)  # per hidden layer, (B, P, h) tanh outputs
+    first: np.ndarray | None = None  # patch projection output (B, P, h)
+    pooled: np.ndarray | None = None  # (B, h)
+    raw_out: np.ndarray | None = None  # (B, d) before normalization
 
 
 @dataclass
 class TextCache:
     ids: np.ndarray  # (T,) concatenated token ids
     lengths: np.ndarray  # (B,)
-    embedded: np.ndarray  # (T, h)
-    acts: list  # per kept layer: (layer index, tanh output, mask or None, layer output)
-    pooled: np.ndarray
-    raw_out: np.ndarray
+    embedded: np.ndarray | None = None  # (T, h)
+    # per kept layer: (layer index, tanh output, mask or None, layer output)
+    acts: list = field(default_factory=list)
+    pooled: np.ndarray | None = None
+    raw_out: np.ndarray | None = None
 
 
-def _extract_patches(config: ModelConfig, images: np.ndarray) -> np.ndarray:
-    b = images.shape[0]
-    p = config.patch_size
-    gh, gw = config.image_height // p, config.image_width // p
-    x = images.reshape(b, gh, p, gw, p, 3)
-    x = x.transpose(0, 1, 3, 2, 4, 5)  # (B, gh, gw, p, p, 3)
-    return x.reshape(b, gh * gw, p * p * 3)
+def image_chain(config: ModelConfig) -> list:
+    """The image tower's modules in forward order; `image_from` starts at
+    an index of this list."""
+    return ["img.patch", *(f"img.hidden.{i}" for i in range(config.image_layers)), "img.out"]
+
+
+def _kept_text_layers(config: ModelConfig) -> list:
+    return [i for i in range(config.text_layers) if i not in config.dropped_text_layers]
+
+
+def text_chain(config: ModelConfig) -> list:
+    """The text tower's modules in forward order, dropped layers left out;
+    `text_from` starts at an index of this list."""
+    return ["txt.embed", *(f"txt.hidden.{i}" for i in _kept_text_layers(config)), "txt.out"]
+
+
+def image_from(model: Model, cache: ImageCache, start: int = 0) -> tuple:
+    """Run the image tower from module `image_chain(config)[start]` on;
+    returns (embeddings, cache).
+
+    Below `start` the activations come from `cache` (start 0 needs only
+    its patches), so they must be what this model's lower modules compute
+    there. Every layer then sees the input a full pass gives it, and the
+    result is byte for byte that of `encode_image`."""
+    p = model.params
+    first = cache.first if start > 0 else cache.patches @ p["img.patch.W"] + p["img.patch.b"]
+    pre_acts = cache.pre_acts[: max(start - 1, 0)]
+    pooled = cache.pooled
+    if start <= model.config.image_layers:
+        act = pre_acts[-1] if pre_acts else first
+        for i in range(len(pre_acts), model.config.image_layers):
+            act = np.tanh(act @ p[f"img.hidden.{i}.W"] + p[f"img.hidden.{i}.b"])
+            pre_acts.append(act)
+        pooled = act.mean(axis=1)
+    raw = pooled @ p["img.out.W"] + p["img.out.b"]
+    z = l2_normalize_rows(raw)
+    return z, ImageCache(patches=cache.patches, pre_acts=pre_acts, first=first, pooled=pooled, raw_out=raw)
 
 
 def encode_image(model: Model, images) -> tuple:
@@ -268,22 +304,16 @@ def encode_image(model: Model, images) -> tuple:
     intermediate needed by backward_image.
     """
     cfg = model.config
-    p = model.params
-    images = np.asarray(images, dtype=p["img.patch.W"].dtype)
+    images = np.asarray(images, dtype=model.params["img.patch.W"].dtype)
     expect = (cfg.image_height, cfg.image_width, 3)
     if images.ndim != 4 or images.shape[1:] != expect:
         raise ShapeMismatch(f"images must be (B, {expect[0]}, {expect[1]}, 3), got {images.shape}")
-    patches = _extract_patches(cfg, images)
-    first = patches @ p["img.patch.W"] + p["img.patch.b"]
-    act = first
-    pre_acts = []
-    for i in range(cfg.image_layers):
-        act = np.tanh(act @ p[f"img.hidden.{i}.W"] + p[f"img.hidden.{i}.b"])
-        pre_acts.append(act)
-    pooled = act.mean(axis=1)
-    raw = pooled @ p["img.out.W"] + p["img.out.b"]
-    z = l2_normalize_rows(raw)
-    return z, ImageCache(patches=patches, pre_acts=pre_acts, first=first, pooled=pooled, raw_out=raw)
+    # the input stage: flattened non-overlapping patches, (B, P, ppc)
+    p = cfg.patch_size
+    gh, gw = cfg.image_height // p, cfg.image_width // p
+    x = images.reshape(len(images), gh, p, gw, p, 3)
+    x = x.transpose(0, 1, 3, 2, 4, 5)  # (B, gh, gw, p, p, 3)
+    return image_from(model, ImageCache(patches=x.reshape(len(images), gh * gw, p * p * 3)))
 
 
 def backward_image(model: Model, cache: ImageCache, grad_embed: np.ndarray, grads: dict):
@@ -299,7 +329,7 @@ def backward_image(model: Model, cache: ImageCache, grad_embed: np.ndarray, grad
     if "img.out" not in inert:
         _acc(grads, "img.out.W", cache.pooled.T @ g_raw)
         _acc(grads, "img.out.b", g_raw.sum(axis=0))
-    chain = ["img.patch"] + [f"img.hidden.{i}" for i in range(cfg.image_layers)]
+    chain = image_chain(cfg)[:-1]
     live = [m not in inert for m in chain]
     if not any(live):
         return
@@ -327,6 +357,38 @@ def backward_image(model: Model, cache: ImageCache, grad_embed: np.ndarray, grad
     _acc(grads, "img.patch.b", flat_g.sum(axis=0))
 
 
+def text_from(
+    model: Model, cache: TextCache, start: int = 0, rate: float = 0.0, rng: Rng | None = None
+) -> tuple:
+    """Run the text tower from module `text_chain(config)[start]` on, with
+    dropout `rate` on the layers it runs; returns (embeddings, cache).
+
+    Below `start` the activations come from `cache` (start 0 needs only
+    its ids and lengths), as in `image_from`."""
+    p = model.params
+    kept = _kept_text_layers(model.config)
+    embedded = cache.embedded if start > 0 else p["txt.embed.W"][cache.ids]
+    acts = cache.acts[: max(start - 1, 0)]
+    pooled = cache.pooled
+    if start <= len(kept):
+        act = acts[-1][3] if acts else embedded
+        for i in kept[len(acts) :]:
+            pre = np.tanh(act @ p[f"txt.hidden.{i}.W"] + p[f"txt.hidden.{i}.b"])
+            mask = None
+            act = pre
+            if rate > 0:
+                mask = ((rng.random(size=pre.shape) >= rate) / (1.0 - rate)).astype(pre.dtype, copy=False)
+                act = pre * mask
+            acts.append((i, pre, mask, act))
+        starts = np.concatenate([[0], np.cumsum(cache.lengths)[:-1]])
+        pooled = np.add.reduceat(act, starts, axis=0) / cache.lengths[:, None].astype(act.dtype)
+    raw = pooled @ p["txt.out.W"] + p["txt.out.b"]
+    z = l2_normalize_rows(raw)
+    return z, TextCache(
+        ids=cache.ids, lengths=cache.lengths, embedded=embedded, acts=acts, pooled=pooled, raw_out=raw
+    )
+
+
 def encode_text(model: Model, token_lists, train: bool = False, rng: Rng | None = None) -> tuple:
     """Encode a batch of token sequences; returns (embeddings, cache).
 
@@ -334,40 +396,16 @@ def encode_text(model: Model, token_lists, train: bool = False, rng: Rng | None 
     nonzero dropout rate an Rng must be supplied; inverted dropout masks the
     tanh activations of each kept hidden layer.
     """
-    cfg = model.config
-    p = model.params
-    rate = cfg.dropout if train else 0.0
+    rate = model.config.dropout if train else 0.0
     if rate > 0 and rng is None:
         raise ValueError("train-mode dropout needs an rng")
-
+    # the input stage: token ids and per-caption lengths
     capped = [list(t)[:MAX_TEXT_TOKENS] for t in token_lists]
     lengths = np.array([len(t) for t in capped], dtype=np.int64)
     if (lengths == 0).any():
         raise ValueError("cannot encode an empty token sequence")
     ids = np.concatenate([model.token_ids(t) for t in capped])
-    embedded = p["txt.embed.W"][ids]
-
-    dropped = set(cfg.dropped_text_layers)
-    act = embedded
-    acts = []
-    for i in range(cfg.text_layers):
-        if i in dropped:
-            continue
-        pre = np.tanh(act @ p[f"txt.hidden.{i}.W"] + p[f"txt.hidden.{i}.b"])
-        mask = None
-        act = pre
-        if rate > 0:
-            mask = ((rng.random(size=pre.shape) >= rate) / (1.0 - rate)).astype(pre.dtype, copy=False)
-            act = pre * mask
-        acts.append((i, pre, mask, act))
-
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    pooled = np.add.reduceat(act, starts, axis=0) / lengths[:, None].astype(act.dtype)
-    raw = pooled @ p["txt.out.W"] + p["txt.out.b"]
-    z = l2_normalize_rows(raw)
-    return z, TextCache(
-        ids=ids, lengths=lengths, embedded=embedded, acts=acts, pooled=pooled, raw_out=raw
-    )
+    return text_from(model, TextCache(ids=ids, lengths=lengths), rate=rate, rng=rng)
 
 
 def backward_text(model: Model, cache: TextCache, grad_embed: np.ndarray, grads: dict):
@@ -383,7 +421,7 @@ def backward_text(model: Model, cache: TextCache, grad_embed: np.ndarray, grads:
     if "txt.out" not in inert:
         _acc(grads, "txt.out.W", cache.pooled.T @ g_raw)
         _acc(grads, "txt.out.b", g_raw.sum(axis=0))
-    chain = ["txt.embed"] + [f"txt.hidden.{i}" for i, *_ in cache.acts]
+    chain = text_chain(model.config)[:-1]
     live = [m not in inert for m in chain]
     if not any(live):
         return
@@ -405,11 +443,19 @@ def backward_text(model: Model, cache: TextCache, grad_embed: np.ndarray, grads:
             return
         g_rows = g_z @ p[f"txt.hidden.{i}.W"].T
 
-    # the scatter runs in float64 whatever the tower's dtype: np.add.at
-    # took about 7x as long on float32 rows
-    g_table = np.zeros(p["txt.embed.W"].shape)
-    np.add.at(g_table, cache.ids, g_rows.astype(np.float64, copy=False))
-    _acc(grads, "txt.embed.W", g_table.astype(g_rows.dtype, copy=False))
+    _acc(grads, "txt.embed.W", embedding_scatter(cache.ids, g_rows, p["txt.embed.W"].shape[0]))
+
+
+def embedding_scatter(ids: np.ndarray, g_rows: np.ndarray, rows: int) -> np.ndarray:
+    """The (rows, h) embedding-table gradient: each token's gradient row
+    added into its id's row, in the dtype of `g_rows`. One `np.bincount`
+    (it sums in float64) over the flat cell index adds every cell's terms
+    in token order from zero, as `np.add.at` on a float64 table does, so
+    the bytes are the same at a lower cost per call."""
+    h = g_rows.shape[1]
+    flat = (ids[:, None] * h + np.arange(h)).ravel()
+    g_table = np.bincount(flat, weights=g_rows.astype(np.float64, copy=False).ravel(), minlength=rows * h)
+    return g_table.reshape(rows, h).astype(g_rows.dtype, copy=False)
 
 
 def _acc(grads: dict, key: str, value: np.ndarray):

@@ -43,7 +43,7 @@ from .model import Model, backward_image, backward_text, encode_image, encode_te
 from .numerics import Rng, softmax_rows
 from .prefetch import ViewWorker, image_streams
 
-LOG_TAU_MIN = math.log(0.01)
+LOG_TAU_MIN = math.log(0.01)  # the one temperature floor: tau stays >= 0.01
 TOWER_DTYPE = np.float32  # what the towers compute in during training
 
 

@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import PINNING
 
-from tbpslab import evaluate
+from tbpslab import evaluate, experiments
 from tbpslab.analyze import interpolate, reset_module
+from tbpslab.config import materialize, resolve
 from tbpslab.data import ToySpec, generate_toy
 from tbpslab.evaluate import (
     EmptyGallery,
@@ -20,7 +22,7 @@ from tbpslab.evaluate import (
     retrieval_metrics,
     unique_images,
 )
-from tbpslab.model import Model, ModelConfig, clone_model, init_model
+from tbpslab.model import Model, ModelConfig, clone_model, image_chain, init_model, text_chain
 from tbpslab.numerics import Rng, ShapeMismatch
 
 
@@ -147,13 +149,19 @@ class TestChanceLevel:
 
 
 class TestGalleryAndModelEval:
-    def test_unique_images_dedupes(self):
+    def test_unique_images_dedupes(self, monkeypatch):
         ds = generate_toy(ToySpec(n_identities=6, images_per_identity=2, captions_per_image=2), Rng(4))
         samples = ds.train + ds.val + ds.test
         gallery, ids = unique_images(samples)
         assert len(samples) == 6 * 2 * 2
         assert gallery.shape[0] == 6 * 2  # captions share their image
         assert len(ids) == gallery.shape[0]
+        # distinct images whose digests collide stay distinct: a digest hit
+        # is confirmed on the pixel bytes
+        monkeypatch.setattr(evaluate, "_pixel_digest", lambda image: b"one digest for every image")
+        collided, collided_ids = unique_images(samples)
+        assert collided.shape == gallery.shape and collided.tobytes() == gallery.tobytes()
+        assert collided_ids.tolist() == ids.tolist()
 
     def test_unique_images_empty(self):
         with pytest.raises(EmptyGallery):
@@ -217,22 +225,66 @@ def _one_ulp(model, key):
 
 
 def _probe_models(run):
-    """(name, model, towers the scorer must re-encode) for every probe
-    kind the scorer distinguishes."""
+    """(name, model, where the scorer starts each tower it recomputes) for
+    every probe kind the scorer distinguishes: tower -> the first module
+    it runs, or "encode" for a full encode; an unchanged tower is absent."""
     init, trained = run.model_init, run.model
-    probes = [("trained", trained, set())]
+    probes = [("trained", trained, {})]
     for m in trained.module_names():
-        probes.append((f"reset-{m}", reset_module(trained, init, m), {m.split(".")[0]} - {"log_tau"}))
-    probes.append(("interpolated-img", interpolate(init, trained, "img.hidden.1", 0.37), {"img"}))
-    probes.append(("interpolated-txt", interpolate(init, trained, "txt.embed", 0.62), {"txt"}))
-    probes.append(("ulp-img", _one_ulp(trained, "img.out.b"), {"img"}))
-    probes.append(("ulp-txt", _one_ulp(trained, "txt.hidden.2.W"), {"txt"}))
+        starts = {} if m == "log_tau" else {m.split(".")[0]: m}
+        probes.append((f"reset-{m}", reset_module(trained, init, m), starts))
+    probes.append(
+        ("interpolated-img", interpolate(init, trained, "img.hidden.1", 0.37), {"img": "img.hidden.1"})
+    )
+    probes.append(("interpolated-txt", interpolate(init, trained, "txt.embed", 0.62), {"txt": "txt.embed"}))
+    probes.append(("ulp-img", _one_ulp(trained, "img.out.b"), {"img": "img.out"}))
+    probes.append(("ulp-txt", _one_ulp(trained, "txt.hidden.2.W"), {"txt": "txt.hidden.2"}))
     other = Model(
         config=replace(trained.config, dropped_text_layers=(1,)),
         params={k: v.copy() for k, v in trained.params.items()},
     )
-    probes.append(("dropped-text-layer", other, {"img", "txt"}))
+    probes.append(("dropped-text-layer", other, {"img": "encode", "txt": "encode"}))
     return probes
+
+
+def _image_layers(cache):
+    return [cache.first, *cache.pre_acts, cache.raw_out]
+
+
+def _text_layers(cache):
+    return [cache.embedded, *(act for *_, act in cache.acts), cache.raw_out]
+
+
+def _spy_scorer(monkeypatch) -> list:
+    """Wrap the encoders and continuations the scorer calls. The returned
+    list gets (tower, first module run) per continuation and (tower,
+    "encode") per full encode. A continuation must hand back the very
+    cached output of every module below its start and a new one from its
+    start on: the layers below are reused, the others recomputed."""
+    started = []
+    for tower, name in (("img", "encode_image"), ("txt", "encode_text")):
+        original = getattr(evaluate, name)
+
+        def encoding(*args, _tower=tower, _original=original, **kwargs):
+            started.append((_tower, "encode"))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, name, encoding)
+    for tower, name, chain, layers in (
+        ("img", "image_from", image_chain, _image_layers),
+        ("txt", "text_from", text_chain, _text_layers),
+    ):
+        original = getattr(evaluate, name)
+
+        def continuing(model, cache, start=0, _tower=tower, _original=original, _chain=chain, _layers=layers):
+            z, out = _original(model, cache, start)
+            for at, (before, after) in enumerate(zip(_layers(cache), _layers(out), strict=True)):
+                assert (after is before) == (at < start), (_tower, at, start)
+            started.append((_tower, _chain(model.config)[start]))
+            return z, out
+
+        monkeypatch.setattr(evaluate, name, continuing)
+    return started
 
 
 class TestRank1Scorer:
@@ -240,23 +292,43 @@ class TestRank1Scorer:
         run = pinning_run
         val = run.dataset.val
         score = rank1_scorer(run.model, val)
-        encoded = []
-        for tower, name in (("img", "encode_image"), ("txt", "encode_text")):
-            original = getattr(evaluate, name)
-
-            def counting(*args, _tower=tower, _original=original, **kwargs):
-                encoded.append(_tower)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(evaluate, name, counting)
+        started = _spy_scorer(monkeypatch)
         rank1s = set()
-        for name, model, changed in _probe_models(run):
-            encoded.clear()
+        for name, model, starts in _probe_models(run):
+            started.clear()
             got = score(model)
-            assert set(encoded) == changed and len(encoded) == len(changed), name
+            assert sorted(started) == sorted(starts.items()), name
             assert got == evaluate_model(model, val).rank1, name
             rank1s.add(got)
         assert len(rank1s) > 2  # the probes do move the metric
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [[], ["model.dropped_text_layers=[1]"], ["freeze_modules=[img.patch,txt.hidden.1]"]],
+        ids=["default", "dropped-text-layer", "frozen-modules"],
+    )
+    def test_layer_cache_equals_evaluate_model_for_every_module(self, overrides, monkeypatch):
+        exp = materialize(resolve(preset="clip-baseline", overrides=PINNING + overrides))
+        run = experiments.run_training(exp)
+        init, trained, val = run.model_init, run.model, run.dataset.val
+        score = rank1_scorer(trained, val)
+        started = _spy_scorer(monkeypatch)
+        chains = image_chain(trained.config) + text_chain(trained.config)
+        unchanged = 0
+        for m in trained.module_names():
+            probes = [reset_module(trained, init, m)]
+            probes += [interpolate(init, trained, m, alpha) for alpha in (0.05, 0.37, 0.95)]
+            for probe in probes:
+                started.clear()
+                got = score(probe)
+                keys = trained.module_keys(m)
+                changed = not all(np.array_equal(probe.params[k], trained.params[k]) for k in keys)
+                want = [(m.split(".")[0], m)] if changed and m in chains else []
+                assert started == want, (m, started)
+                assert got == evaluate_model(probe, val).rank1, m
+                unchanged += not want
+        # log_tau always, plus a frozen module's reset and a dropped layer's probes
+        assert unchanged > 4 if overrides else unchanged == 4
 
     def test_rejects_a_query_without_a_positive(self, pinning_run):
         run = pinning_run

@@ -19,14 +19,19 @@ from tbpslab.model import (
     backward_image,
     backward_text,
     clone_model,
+    embedding_scatter,
     encode_image,
     encode_text,
     freeze,
+    image_chain,
+    image_from,
     init_model,
     load_checkpoint,
     module_of,
     parameter_count,
     save_checkpoint,
+    text_chain,
+    text_from,
 )
 from tbpslab.numerics import Rng, ShapeMismatch, check_param_grads
 
@@ -280,6 +285,45 @@ class TestBackward:
         backward_image(m, ci, g, twice)
         for k in once:
             assert np.allclose(twice[k], 2 * once[k], atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_embedding_scatter_is_add_at_byte_for_byte(self, rng, dtype):
+        rows, h = 30, 64
+        for trial in range(5):
+            r = rng.child(trial)
+            ids = r.integers(0, rows, size=729) ** 2 % rows  # many repeats, some rows never hit
+            g_rows = r.normal(size=(len(ids), h)).astype(dtype)
+            want = np.zeros((rows, h))
+            np.add.at(want, ids, g_rows.astype(np.float64))
+            got = embedding_scatter(ids, g_rows, rows)
+            assert got.dtype == dtype
+            assert got.tobytes() == want.astype(dtype).tobytes()
+
+
+class TestContinuation:
+    """A tower continued from another model's activations below the first
+    module the two models differ in is byte for byte a full encode."""
+
+    @pytest.mark.parametrize(
+        "config", [SMALL, dataclasses.replace(SMALL, text_layers=3, dropped_text_layers=(1,))]
+    )
+    def test_continued_tower_equals_full_encode(self, rng, config):
+        images, tokens = small_batch(rng)
+        base = init_model(config, Rng(11))
+        other = init_model(config, Rng(12))
+        _, image_cache = encode_image(base, images)
+        _, text_cache = encode_text(base, tokens)
+        for chain, cache, cont, encode, data in (
+            (image_chain(config), image_cache, image_from, encode_image, images),
+            (text_chain(config), text_cache, text_from, encode_text, tokens),
+        ):
+            for start, module in enumerate(chain):
+                probe = clone_model(base)
+                for key in probe.module_keys(module):
+                    probe.params[key] = other.params[key]
+                got, _ = cont(probe, cache, start)
+                assert got.tobytes() == encode(probe, data)[0].tobytes(), module
+                assert got.tobytes() != encode(base, data)[0].tobytes(), module
 
 
 class TestDropout:
