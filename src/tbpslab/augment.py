@@ -10,8 +10,8 @@ two steps. Its *draw* step reads one sample's stream and returns that
 sample's parameters (geometry, factors, order, angle, kernel or noise);
 its parameter defaults live only in the draw function's signature. Its
 *apply* step is pure pixel work over a stack, one parameter entry per
-image. `run_op` is draw + apply on a stack of one, so every op has one
-pixel implementation. `augment_image` gives each sample its own stream
+image. A lone image is a stack of one, so every op has one pixel
+implementation. `augment_image` gives each sample its own stream
 and reads it in the order a lone image would: the pool or trivial
 selection, then per stage the gate and the op's draws. The views
 therefore do not depend on the batch a sample is in, and the draw order
@@ -367,17 +367,6 @@ IMAGE_OPS = {
     "flip_vertical": ImageOp(_draw_nothing, lambda stack, _params: stack[:, ::-1].copy()),
     "rotate": ImageOp(_draw_rotate, _apply_rotate),
 }
-
-
-def run_op(name: str, img, rng: Rng, **params) -> np.ndarray:
-    """One op, ungated, on one (H, W, 3) image: draw, then apply to a
-    stack of one. Parameters not given take the draw step's defaults."""
-    arr = np.asarray(img)
-    if arr.ndim != 3:
-        raise BadParam(f"image must be (H, W, 3), got {arr.shape}")
-    stack = _check_stack(arr[None])
-    op = IMAGE_OPS[name]
-    return op.apply(stack, [op.draw(*stack.shape[1:3], rng, **params)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,16 @@ average patch contents into a near-uniform blur and identities would become
 indistinguishable. After the tanh stack, pooling sees a bag of nonlinear
 patch/token descriptors, which is enough to separate attribute bundles.
 
-Each forward pass is an input stage (patches, token ids) and one
-continuation (`image_from`, `text_from`) that can start at any module of
-the tower, on the activations an earlier pass cached below it. The
-contribution scorer continues its probes this way; a full encode is the
-continuation from the first module.
+Both towers run one hidden stack and one output head (`_tower_from`) and
+one backward pass through them (`_tower_backward`), over one activation
+cache (`TowerCache`). Each tower keeps only what differs and hands it in:
+its input stage (patch projection, or embedding rows) with its gradient,
+its pooling (mean over patches, or per caption) and unpooling, and its
+chain of modules. A forward pass is a continuation (`image_from`,
+`text_from`) that can start at any module of the chain, on the
+activations an earlier pass cached below it. The contribution scorer
+continues its probes this way; a full encode is the continuation from the
+first module.
 
 All gradients are hand-derived; `backward_image` / `backward_text` implement
 the exact chain rule for the forward passes here, and the test suite holds
@@ -239,23 +244,16 @@ def freeze(model: Model, modules) -> Model:
 
 
 @dataclass
-class ImageCache:
-    patches: np.ndarray  # (B, P, ppc)
-    pre_acts: list = field(default_factory=list)  # per hidden layer, (B, P, h) tanh outputs
-    first: np.ndarray | None = None  # patch projection output (B, P, h)
+class TowerCache:
+    """Every activation of one tower pass, for continuations and backward."""
+
+    inputs: np.ndarray  # patches (B, P, ppc), or the concatenated token ids (T,)
+    lengths: np.ndarray | None = None  # tokens per caption (B,); text only
+    first: np.ndarray | None = None  # the input stage's output
+    # per hidden layer run: (module name, tanh output, mask or None, layer output)
+    acts: list = field(default_factory=list)
     pooled: np.ndarray | None = None  # (B, h)
     raw_out: np.ndarray | None = None  # (B, d) before normalization
-
-
-@dataclass
-class TextCache:
-    ids: np.ndarray  # (T,) concatenated token ids
-    lengths: np.ndarray  # (B,)
-    embedded: np.ndarray | None = None  # (T, h)
-    # per kept layer: (layer index, tanh output, mask or None, layer output)
-    acts: list = field(default_factory=list)
-    pooled: np.ndarray | None = None
-    raw_out: np.ndarray | None = None
 
 
 def image_chain(config: ModelConfig) -> list:
@@ -264,37 +262,93 @@ def image_chain(config: ModelConfig) -> list:
     return ["img.patch", *(f"img.hidden.{i}" for i in range(config.image_layers)), "img.out"]
 
 
-def _kept_text_layers(config: ModelConfig) -> list:
-    return [i for i in range(config.text_layers) if i not in config.dropped_text_layers]
-
-
 def text_chain(config: ModelConfig) -> list:
     """The text tower's modules in forward order, dropped layers left out;
     `text_from` starts at an index of this list."""
-    return ["txt.embed", *(f"txt.hidden.{i}" for i in _kept_text_layers(config)), "txt.out"]
+    kept = (i for i in range(config.text_layers) if i not in config.dropped_text_layers)
+    return ["txt.embed", *(f"txt.hidden.{i}" for i in kept), "txt.out"]
 
 
-def image_from(model: Model, cache: ImageCache, start: int = 0) -> tuple:
-    """Run the image tower from module `image_chain(config)[start]` on;
-    returns (embeddings, cache).
+def _tower_from(
+    model: Model, chain: list, cache: TowerCache, start: int, input_stage, pool, rate: float = 0.0, rng=None
+) -> tuple:
+    """Run the tower of modules `chain` from `chain[start]` on; returns
+    (embeddings, cache). `input_stage` maps the inputs to the first
+    activation, and `pool` the last one to a row per item.
 
     Below `start` the activations come from `cache` (start 0 needs only
-    its patches), so they must be what this model's lower modules compute
+    its inputs), so they must be what this model's lower modules compute
     there. Every layer then sees the input a full pass gives it, and the
-    result is byte for byte that of `encode_image`."""
+    result is byte for byte that of a full encode."""
     p = model.params
-    first = cache.first if start > 0 else cache.patches @ p["img.patch.W"] + p["img.patch.b"]
-    pre_acts = cache.pre_acts[: max(start - 1, 0)]
+    hidden, out = chain[1:-1], chain[-1]
+    first = cache.first if start > 0 else input_stage(cache.inputs)
+    acts = cache.acts[: max(start - 1, 0)]
     pooled = cache.pooled
-    if start <= model.config.image_layers:
-        act = pre_acts[-1] if pre_acts else first
-        for i in range(len(pre_acts), model.config.image_layers):
-            act = np.tanh(act @ p[f"img.hidden.{i}.W"] + p[f"img.hidden.{i}.b"])
-            pre_acts.append(act)
-        pooled = act.mean(axis=1)
-    raw = pooled @ p["img.out.W"] + p["img.out.b"]
+    if start <= len(hidden):
+        act = acts[-1][3] if acts else first
+        for name in hidden[len(acts) :]:
+            pre = np.tanh(act @ p[f"{name}.W"] + p[f"{name}.b"])
+            mask = None
+            act = pre
+            if rate > 0:
+                mask = ((rng.random(size=pre.shape) >= rate) / (1.0 - rate)).astype(pre.dtype, copy=False)
+                act = pre * mask
+            acts.append((name, pre, mask, act))
+        pooled = pool(act)
+    raw = pooled @ p[f"{out}.W"] + p[f"{out}.b"]
     z = l2_normalize_rows(raw)
-    return z, ImageCache(patches=cache.patches, pre_acts=pre_acts, first=first, pooled=pooled, raw_out=raw)
+    return z, TowerCache(cache.inputs, cache.lengths, first, acts, pooled, raw)
+
+
+def _tower_backward(model: Model, chain: list, cache: TowerCache, grad_embed, grads: dict, unpool):
+    """Accumulate the gradients of the output head and hidden layers of the
+    tower of modules `chain` into `grads`; `unpool` spreads a pooled row's
+    gradient back over its units. Returns the gradient at the first
+    activation, or None when the pass stopped above it.
+
+    The model's inert modules get no gradient, and the pass stops below
+    the lowest module that does; the other gradients are unchanged."""
+    p = model.params
+    inert = model.inert_modules()
+    out = chain[-1]
+    g_raw = l2_normalize_rows_backward(cache.raw_out, grad_embed).astype(cache.raw_out.dtype, copy=False)
+
+    if out not in inert:
+        _acc(grads, f"{out}.W", cache.pooled.T @ g_raw)
+        _acc(grads, f"{out}.b", g_raw.sum(axis=0))
+    live = [m not in inert for m in chain[:-1]]
+    if not any(live):
+        return None
+    lowest = live.index(True)  # index into `chain`: the hidden layer run at pos is pos + 1
+    g_act = unpool(g_raw @ p[f"{out}.W"].T)
+    for pos in reversed(range(len(cache.acts))):
+        name, pre, mask, _ = cache.acts[pos]
+        if mask is not None:
+            g_act = g_act * mask
+        g_z = g_act * (1.0 - pre * pre)
+        if live[pos + 1]:
+            # the layer's input is the output (after any mask) of the one below
+            below = cache.acts[pos - 1][3] if pos > 0 else cache.first
+            flat_in = below.reshape(-1, below.shape[-1])
+            flat_gz = g_z.reshape(-1, g_z.shape[-1])
+            _acc(grads, f"{name}.W", flat_in.T @ flat_gz)
+            _acc(grads, f"{name}.b", flat_gz.sum(axis=0))
+        if lowest == pos + 1:
+            return None
+        g_act = g_z @ p[f"{name}.W"].T
+    return g_act
+
+
+def image_from(model: Model, cache: TowerCache, start: int = 0) -> tuple:
+    """Run the image tower from module `image_chain(config)[start]` on;
+    returns (embeddings, cache), as `_tower_from` does."""
+    p = model.params
+
+    def project(patches):
+        return patches @ p["img.patch.W"] + p["img.patch.b"]
+
+    return _tower_from(model, image_chain(model.config), cache, start, project, lambda act: act.mean(axis=1))
 
 
 def encode_image(model: Model, images) -> tuple:
@@ -313,80 +367,38 @@ def encode_image(model: Model, images) -> tuple:
     gh, gw = cfg.image_height // p, cfg.image_width // p
     x = images.reshape(len(images), gh, p, gw, p, 3)
     x = x.transpose(0, 1, 3, 2, 4, 5)  # (B, gh, gw, p, p, 3)
-    return image_from(model, ImageCache(patches=x.reshape(len(images), gh * gw, p * p * 3)))
+    return image_from(model, TowerCache(x.reshape(len(images), gh * gw, p * p * 3)))
 
 
-def backward_image(model: Model, cache: ImageCache, grad_embed: np.ndarray, grads: dict):
-    """Accumulate parameter gradients for one encode_image call into `grads`.
-
-    The model's inert modules get no gradient, and the pass stops below
-    the lowest module that does; the other gradients are unchanged."""
-    cfg = model.config
-    p = model.params
-    inert = model.inert_modules()
-    g_raw = l2_normalize_rows_backward(cache.raw_out, grad_embed).astype(cache.raw_out.dtype, copy=False)
-
-    if "img.out" not in inert:
-        _acc(grads, "img.out.W", cache.pooled.T @ g_raw)
-        _acc(grads, "img.out.b", g_raw.sum(axis=0))
-    chain = image_chain(cfg)[:-1]
-    live = [m not in inert for m in chain]
-    if not any(live):
-        return
-    lowest = live.index(True)  # index into `chain`: hidden layer i is i + 1
-    g_pooled = g_raw @ p["img.out.W"].T
-
+def backward_image(model: Model, cache: TowerCache, grad_embed: np.ndarray, grads: dict):
+    """Accumulate parameter gradients for one encode_image call into
+    `grads`; inert modules get none, as in `_tower_backward`."""
+    patches = cache.inputs
     # mean pooling spreads the gradient evenly over the patches (broadcast)
-    g_act = g_pooled[:, None, :] / cache.patches.shape[1]
-    for i in reversed(range(cfg.image_layers)):
-        act = cache.pre_acts[i]
-        g_z = g_act * (1.0 - act * act)
-        if live[i + 1]:
-            below = cache.pre_acts[i - 1] if i > 0 else cache.first
-            flat_in = below.reshape(-1, below.shape[-1])
-            flat_gz = g_z.reshape(-1, g_z.shape[-1])
-            _acc(grads, f"img.hidden.{i}.W", flat_in.T @ flat_gz)
-            _acc(grads, f"img.hidden.{i}.b", flat_gz.sum(axis=0))
-        if lowest == i + 1:
-            return
-        g_act = g_z @ p[f"img.hidden.{i}.W"].T
-
-    flat_patches = cache.patches.reshape(-1, cache.patches.shape[-1])
-    flat_g = g_act.reshape(-1, g_act.shape[-1])
-    _acc(grads, "img.patch.W", flat_patches.T @ flat_g)
-    _acc(grads, "img.patch.b", flat_g.sum(axis=0))
+    g_act = _tower_backward(
+        model, image_chain(model.config), cache, grad_embed, grads, lambda g: g[:, None, :] / patches.shape[1]
+    )
+    if g_act is not None:
+        flat_patches = patches.reshape(-1, patches.shape[-1])
+        flat_g = g_act.reshape(-1, g_act.shape[-1])
+        _acc(grads, "img.patch.W", flat_patches.T @ flat_g)
+        _acc(grads, "img.patch.b", flat_g.sum(axis=0))
 
 
 def text_from(
-    model: Model, cache: TextCache, start: int = 0, rate: float = 0.0, rng: Rng | None = None
+    model: Model, cache: TowerCache, start: int = 0, rate: float = 0.0, rng: Rng | None = None
 ) -> tuple:
     """Run the text tower from module `text_chain(config)[start]` on, with
-    dropout `rate` on the layers it runs; returns (embeddings, cache).
+    dropout `rate` on the layers it runs; returns (embeddings, cache), as
+    `_tower_from` does."""
+    lengths, embed = cache.lengths, model.params["txt.embed.W"]
 
-    Below `start` the activations come from `cache` (start 0 needs only
-    its ids and lengths), as in `image_from`."""
-    p = model.params
-    kept = _kept_text_layers(model.config)
-    embedded = cache.embedded if start > 0 else p["txt.embed.W"][cache.ids]
-    acts = cache.acts[: max(start - 1, 0)]
-    pooled = cache.pooled
-    if start <= len(kept):
-        act = acts[-1][3] if acts else embedded
-        for i in kept[len(acts) :]:
-            pre = np.tanh(act @ p[f"txt.hidden.{i}.W"] + p[f"txt.hidden.{i}.b"])
-            mask = None
-            act = pre
-            if rate > 0:
-                mask = ((rng.random(size=pre.shape) >= rate) / (1.0 - rate)).astype(pre.dtype, copy=False)
-                act = pre * mask
-            acts.append((i, pre, mask, act))
-        starts = np.concatenate([[0], np.cumsum(cache.lengths)[:-1]])
-        pooled = np.add.reduceat(act, starts, axis=0) / cache.lengths[:, None].astype(act.dtype)
-    raw = pooled @ p["txt.out.W"] + p["txt.out.b"]
-    z = l2_normalize_rows(raw)
-    return z, TextCache(
-        ids=cache.ids, lengths=cache.lengths, embedded=embedded, acts=acts, pooled=pooled, raw_out=raw
-    )
+    def caption_mean(act):
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        return np.add.reduceat(act, starts, axis=0) / lengths[:, None].astype(act.dtype)
+
+    chain = text_chain(model.config)
+    return _tower_from(model, chain, cache, start, lambda ids: embed[ids], caption_mean, rate, rng)
 
 
 def encode_text(model: Model, token_lists, train: bool = False, rng: Rng | None = None) -> tuple:
@@ -405,45 +417,20 @@ def encode_text(model: Model, token_lists, train: bool = False, rng: Rng | None 
     if (lengths == 0).any():
         raise ValueError("cannot encode an empty token sequence")
     ids = np.concatenate([model.token_ids(t) for t in capped])
-    return text_from(model, TextCache(ids=ids, lengths=lengths), rate=rate, rng=rng)
+    return text_from(model, TowerCache(ids, lengths), rate=rate, rng=rng)
 
 
-def backward_text(model: Model, cache: TextCache, grad_embed: np.ndarray, grads: dict):
-    """Accumulate parameter gradients for one encode_text call into `grads`.
-
-    The model's inert modules get no gradient, and the pass stops below
-    the lowest module that does; the other gradients are unchanged.
-    Dropped layers are not in the cache, so they never get one."""
-    p = model.params
-    inert = model.inert_modules()
-    g_raw = l2_normalize_rows_backward(cache.raw_out, grad_embed).astype(cache.raw_out.dtype, copy=False)
-
-    if "txt.out" not in inert:
-        _acc(grads, "txt.out.W", cache.pooled.T @ g_raw)
-        _acc(grads, "txt.out.b", g_raw.sum(axis=0))
-    chain = text_chain(model.config)[:-1]
-    live = [m not in inert for m in chain]
-    if not any(live):
-        return
-    lowest = live.index(True)  # index into `chain`: kept layer pos is pos + 1
-    g_pooled = g_raw @ p["txt.out.W"].T
-
-    g_rows = np.repeat(g_pooled / cache.lengths[:, None].astype(g_pooled.dtype), cache.lengths, axis=0)
-    for pos in reversed(range(len(cache.acts))):
-        i, pre, mask, _ = cache.acts[pos]
-        if mask is not None:
-            g_rows = g_rows * mask
-        g_z = g_rows * (1.0 - pre * pre)
-        if live[pos + 1]:
-            # input to layer i is the previous layer's post-mask output
-            below = cache.acts[pos - 1][3] if pos > 0 else cache.embedded
-            _acc(grads, f"txt.hidden.{i}.W", below.T @ g_z)
-            _acc(grads, f"txt.hidden.{i}.b", g_z.sum(axis=0))
-        if lowest == pos + 1:
-            return
-        g_rows = g_z @ p[f"txt.hidden.{i}.W"].T
-
-    _acc(grads, "txt.embed.W", embedding_scatter(cache.ids, g_rows, p["txt.embed.W"].shape[0]))
+def backward_text(model: Model, cache: TowerCache, grad_embed: np.ndarray, grads: dict):
+    """Accumulate parameter gradients for one encode_text call into
+    `grads`; inert modules get none, as in `_tower_backward`. Dropped
+    layers are not in the cache, so they never get one."""
+    lengths, rows = cache.lengths, model.params["txt.embed.W"].shape[0]
+    g_rows = _tower_backward(
+        model, text_chain(model.config), cache, grad_embed, grads,
+        lambda g: np.repeat(g / lengths[:, None].astype(g.dtype), lengths, axis=0),
+    )
+    if g_rows is not None:
+        _acc(grads, "txt.embed.W", embedding_scatter(cache.inputs, g_rows, rows))
 
 
 def embedding_scatter(ids: np.ndarray, g_rows: np.ndarray, rows: int) -> np.ndarray:

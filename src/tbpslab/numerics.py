@@ -6,7 +6,7 @@ functions, so their contracts are deliberately strict: inputs must be finite,
 shapes must agree, and every stochastic draw flows through a counter-based
 splittable `Rng` so that any run can be replayed bit-for-bit from
 (seed, stream) alone. Hand-written gradients are held against
-`central_diff` / `check_param_grads`.
+`check_param_grads`.
 """
 
 from __future__ import annotations
@@ -103,15 +103,6 @@ def _fd(a: np.ndarray, idx, fn, step: float) -> float:
     lo = fn()
     a[idx] = orig
     return (hi - lo) / (2 * step)
-
-
-def central_diff(fn, x, step: float = FD_STEP) -> np.ndarray:
-    """Central finite differences of scalar fn at x, elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    for idx in np.ndindex(x.shape):
-        grad[idx] = _fd(x, idx, lambda: fn(x), step)
-    return grad
 
 
 def max_rel_error(analytic, numeric, floor: float = 1e-4) -> float:

@@ -12,8 +12,21 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from tbpslab.augment import IMAGE_OPS, BadParam, _check_stack
 from tbpslab.losses import EmbeddingBatch, build_labels
 from tbpslab.numerics import Rng, l2_normalize_rows
+
+
+def run_op(name: str, img, rng: Rng, **params) -> np.ndarray:
+    """One package image op, ungated, on one (H, W, 3) image: draw, then
+    apply to a stack of one. Parameters not given take the draw step's
+    defaults."""
+    arr = np.asarray(img)
+    if arr.ndim != 3:
+        raise BadParam(f"image must be (H, W, 3), got {arr.shape}")
+    stack = _check_stack(arr[None])
+    op = IMAGE_OPS[name]
+    return op.apply(stack, [op.draw(*stack.shape[1:3], rng, **params)])[0]
 
 
 def random_raw_pair(rng: Rng, n: int, d: int, repeat_ids: bool = True):

@@ -10,7 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from tbpslab.numerics import central_diff, l2_normalize_rows, l2_normalize_rows_backward, max_rel_error
+from tbpslab.numerics import FD_STEP, _fd, l2_normalize_rows, l2_normalize_rows_backward, max_rel_error
+
+
+def central_diff(fn, x, step: float = FD_STEP) -> np.ndarray:
+    """Central finite differences of scalar fn at x, elementwise, with the
+    package's one finite-difference step (`numerics._fd`)."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        grad[idx] = _fd(x, idx, lambda: fn(x), step)
+    return grad
 
 
 def check_against_raw(loss_on_normalized, raw_mats: dict, log_tau: float | None = None):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import run_op
 from tbpslab.augment import (
     IMAGE_OPS,
     AugmentConfig,
@@ -24,7 +25,6 @@ from tbpslab.augment import (
     random_insertion,
     random_swap,
     round_half_up,
-    run_op,
     sample_crop_geometry,
     sample_erase_geometry,
     synonym_replacement,

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import augment_reference as ref
-from tbpslab.augment import IMAGE_OPS, AugmentConfig, augment_image, run_op
+from conftest import run_op
+from tbpslab.augment import IMAGE_OPS, AugmentConfig, augment_image
 from tbpslab.data import ToySpec, generate_toy
 from tbpslab.numerics import Rng
 from tbpslab.train import assemble_batch

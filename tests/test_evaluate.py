@@ -247,12 +247,8 @@ def _probe_models(run):
     return probes
 
 
-def _image_layers(cache):
-    return [cache.first, *cache.pre_acts, cache.raw_out]
-
-
-def _text_layers(cache):
-    return [cache.embedded, *(act for *_, act in cache.acts), cache.raw_out]
+def _layers(cache):
+    return [cache.first, *(act for *_, act in cache.acts), cache.raw_out]
 
 
 def _spy_scorer(monkeypatch) -> list:
@@ -270,13 +266,10 @@ def _spy_scorer(monkeypatch) -> list:
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(evaluate, name, encoding)
-    for tower, name, chain, layers in (
-        ("img", "image_from", image_chain, _image_layers),
-        ("txt", "text_from", text_chain, _text_layers),
-    ):
+    for tower, name, chain in (("img", "image_from", image_chain), ("txt", "text_from", text_chain)):
         original = getattr(evaluate, name)
 
-        def continuing(model, cache, start=0, _tower=tower, _original=original, _chain=chain, _layers=layers):
+        def continuing(model, cache, start=0, _tower=tower, _original=original, _chain=chain):
             z, out = _original(model, cache, start)
             for at, (before, after) in enumerate(zip(_layers(cache), _layers(out), strict=True)):
                 assert (after is before) == (at < start), (_tower, at, start)

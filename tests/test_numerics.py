@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import central_diff
 from tbpslab.numerics import (
     NonPositiveTemperature,
     Rng,
     ZeroVector,
-    central_diff,
     check_param_grads,
     l2_normalize_rows,
     l2_normalize_rows_backward,

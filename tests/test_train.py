@@ -285,6 +285,18 @@ FULL_STACK = LossConfig(
 WITH_SS_IT = LossConfig(weights={**FULL_STACK.weights, "ss_it": 0.2})
 
 
+def assert_inert_grads(model, samples, inert):
+    """Freezing `inert` removes exactly its modules' gradients and leaves
+    every other one bit-equal."""
+    batch = assemble_batch(samples[:4], AugmentConfig(image_mode="pool", text_mode="stack"), Rng(6))
+    _, full, _ = loss_and_grads(model, batch, WITH_SS_IT, Rng(3))
+    _, part, _ = loss_and_grads(freeze(clone_model(model), inert), batch, WITH_SS_IT, Rng(3))
+    # log_tau's gradient comes from the loss, not the towers: always kept
+    assert set(part) == {k for k in full if module_of(k) not in inert or k == "log_tau"}
+    for key in part:
+        assert np.array_equal(part[key], full[key]), key
+
+
 class TestStepGradients:
     """Finite differences through the complete stacked objective, dropout
     masks held fixed by the step rng."""
@@ -327,17 +339,32 @@ class TestStepGradients:
             {"txt.embed", "txt.hidden.0"},
             {"txt.hidden.1", "txt.out"},
             {"img.patch", "txt.embed", "log_tau"},
+            # every hidden layer inert: the pass runs through them to the input stage
+            {"img.hidden.0", "img.hidden.1"},
+            {"txt.hidden.0", "txt.hidden.1"},
         ],
     )
     def test_inert_modules_get_no_gradient_and_the_rest_is_bit_equal(self, inert):
         model, samples = small_setup(dropout=0.2)
-        batch = assemble_batch(samples[:4], AugmentConfig(image_mode="pool", text_mode="stack"), Rng(6))
-        _, full, _ = loss_and_grads(model, batch, WITH_SS_IT, Rng(3))
-        _, part, _ = loss_and_grads(freeze(clone_model(model), inert), batch, WITH_SS_IT, Rng(3))
-        # log_tau's gradient comes from the loss, not the towers: always kept
-        assert set(part) == {k for k in full if module_of(k) not in inert or k == "log_tau"}
-        for key in part:
-            assert np.array_equal(part[key], full[key]), key
+        assert_inert_grads(model, samples, inert)
+
+    @pytest.mark.parametrize(
+        "dropped, inert",
+        [
+            ((0,), {"txt.embed"}),
+            ((1,), {"txt.embed", "txt.hidden.0"}),
+            ((1,), {"txt.hidden.0"}),
+            ((0, 1), {"txt.embed"}),
+            ((0,), {"txt.embed", "txt.hidden.1"}),
+            ((2,), {"txt.hidden.0", "txt.hidden.1"}),
+        ],
+    )
+    def test_inert_modules_with_dropped_text_layers(self, dropped, inert):
+        # the kept layers sit at other chain positions than their layer ids,
+        # so the pass must stop by position, not by id
+        model, samples = small_setup(dropout=0.2)
+        config = dataclasses.replace(model.config, text_layers=3, dropped_text_layers=dropped)
+        assert_inert_grads(init_model(config, Rng(6)), samples, inert)
 
     def test_soft_label_and_diagonal_paths_run(self):
         model, samples = small_setup()
