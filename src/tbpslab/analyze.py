@@ -29,7 +29,7 @@ import numpy as np
 from .model import BadModule, Model, clone_model
 
 FINE_GRID = 100  # alpha resolution 0.01
-COARSE_STEP = 5  # refine method probes every 0.05 first
+COARSE_STEP = 5  # c2_score probes every 0.05 first
 
 
 class XOutOfRange(ValueError):
@@ -103,22 +103,18 @@ def c2_score(
     evaluate,
     eps: float = 0.03,
     baseline: float | None = None,
-    method: str = "refine",
 ) -> float:
     """Smallest alpha on the 0.01 grid whose interpolated model sits within
     eps of the trained metric.
 
-    method "scan" walks the full grid; "refine" probes every 0.05 and then
-    scans only inside the first coarse bracket that crosses the band. The
-    two agree whenever the metric recovery is monotone at the coarse
-    resolution, which the acceptance checks verify on real checkpoints.
-    alpha 1 always qualifies (the mix is exactly the trained model), so the
-    search cannot fail.
+    Probes every 0.05 first, then scans only inside the first coarse bracket
+    that crosses the band. That equals a scan of the full grid whenever the
+    metric recovery is monotone at the coarse resolution, which the
+    acceptance checks verify on real checkpoints. alpha 1 always qualifies
+    (the mix is exactly the trained model), so the search cannot fail.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if method not in ("scan", "refine"):
-        raise ValueError(f"method must be 'scan' or 'refine', got '{method}'")
     _check_modules(trained, [module])
     if baseline is None:
         baseline = evaluate(trained)
@@ -126,12 +122,6 @@ def c2_score(
     def ok(k: int) -> bool:
         model = interpolate(init, trained, module, k / FINE_GRID)
         return baseline - evaluate(model) < eps
-
-    if method == "scan":
-        for k in range(FINE_GRID + 1):
-            if ok(k):
-                return k / FINE_GRID
-        raise AssertionError("alpha = 1 must satisfy the band")
 
     prev = 0
     for k in range(0, FINE_GRID + 1, COARSE_STEP):

@@ -1,8 +1,8 @@
 """Contrastive loss suite with analytic gradients.
 
-All losses operate on L2-normalized embedding batches and return both the
-scalar value and exact gradients with respect to the (normalized) input
-features and with respect to log(tau). No autodiff is involved: every
+All losses take (N, d) arrays of unit-norm rows (L2-normalized embeddings)
+and return both the scalar value and exact gradients with respect to those
+rows and with respect to log(tau). No autodiff is involved: every
 gradient below is derived by hand and checked against central finite
 differences in the test suite.
 
@@ -52,7 +52,7 @@ KNOWN_LOSSES = tuple(TERM_VIEWS)
 
 
 class LengthMismatch(ValueError):
-    """Identity list length does not match the number of feature rows."""
+    """The image and text identity lists of a batch differ in length."""
 
 
 class NotNormalized(ValueError):
@@ -69,43 +69,6 @@ class MissingTerm(KeyError):
 
 class UnknownTerm(KeyError):
     """A loss weight names a term outside TERM_VIEWS."""
-
-
-@dataclass
-class EmbeddingBatch:
-    """A batch of embeddings plus the identity id behind each row.
-
-    `normalized` asserts that every row has unit L2 norm; it is checked at
-    construction so the losses can rely on it.
-    """
-
-    features: np.ndarray
-    identities: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.identities = np.asarray(self.identities)
-        if self.features.ndim != 2:
-            raise ShapeMismatch(f"features must be 2-d, got shape {self.features.shape}")
-        if not np.isfinite(self.features).all():
-            raise ValueError("features contain NaN or Inf")
-        if self.identities.shape != (self.features.shape[0],):
-            raise LengthMismatch(
-                f"{self.features.shape[0]} feature rows but {self.identities.shape} identities"
-            )
-        if self.normalized:
-            norms = np.linalg.norm(self.features, axis=1)
-            if np.abs(norms - 1.0).max() > 1e-9:
-                raise NotNormalized(f"row norms deviate from 1 by {np.abs(norms - 1.0).max():.3e}")
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
 
 
 @dataclass
@@ -131,9 +94,9 @@ class LabelMatrix:
 class LossResult:
     """Scalar loss plus analytic gradients w.r.t. the inputs.
 
-    grad_image / grad_text match the shapes of the batches the loss was
-    called with. For single-batch losses (ss_loss) the gradient of the
-    views batch is carried in grad_image and grad_text is None.
+    grad_image / grad_text match the shapes of the arrays the loss was
+    called with. For single-array losses (ss_loss) the gradient of the
+    (2N, d) views array is carried in grad_image and grad_text is None.
     """
 
     value: float
@@ -172,15 +135,29 @@ class LossConfig:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
-def _check_pair(img: EmbeddingBatch, txt: EmbeddingBatch, labels: LabelMatrix | None = None):
-    if not (img.normalized and txt.normalized):
-        raise NotNormalized("losses require normalized embedding batches")
-    if img.dim != txt.dim:
-        raise ShapeMismatch(f"image dim {img.dim} vs text dim {txt.dim}")
-    if img.n != txt.n:
-        raise ShapeMismatch(f"image batch {img.n} vs text batch {txt.n}")
-    if labels is not None and labels.q.shape != (img.n, txt.n):
-        raise ShapeMismatch(f"labels {labels.q.shape} vs batch {(img.n, txt.n)}")
+def _unit_rows(z) -> np.ndarray:
+    """`z` as a float64 (N, d) array, checked finite with unit-norm rows."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2:
+        raise ShapeMismatch(f"features must be 2-d, got shape {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("features contain NaN or Inf")
+    deviation = np.abs(np.linalg.norm(z, axis=1) - 1.0).max()
+    if deviation > 1e-9:
+        raise NotNormalized(f"row norms deviate from 1 by {deviation:.3e}")
+    return z
+
+
+def _check_pair(img, txt, labels: LabelMatrix | None = None):
+    """The checked (image, text) pair of embedding arrays."""
+    img, txt = _unit_rows(img), _unit_rows(txt)
+    if img.shape[1] != txt.shape[1]:
+        raise ShapeMismatch(f"image dim {img.shape[1]} vs text dim {txt.shape[1]}")
+    if len(img) != len(txt):
+        raise ShapeMismatch(f"image batch {len(img)} vs text batch {len(txt)}")
+    if labels is not None and labels.q.shape != (len(img), len(txt)):
+        raise ShapeMismatch(f"labels {labels.q.shape} vs batch {(len(img), len(txt))}")
+    return img, txt
 
 
 def _check_tau(tau: float) -> float:
@@ -240,19 +217,19 @@ def soft_label(labels: LabelMatrix, p_i2t: np.ndarray, p_t2i: np.ndarray) -> Lab
     )
 
 
-def _pair_result(value, h1, h2, s, img: EmbeddingBatch, txt: EmbeddingBatch, tau: float) -> LossResult:
+def _pair_result(value, h1, h2, s, img: np.ndarray, txt: np.ndarray, tau: float) -> LossResult:
     """The chain rule shared by the two-direction losses: h1 and h2 are the
     gradients of the loss w.r.t. the logits S / tau and S^T / tau."""
     ds = (h1 + h2.T) / tau
     return LossResult(
         value=float(value),
-        grad_image=ds @ txt.features,
-        grad_text=ds.T @ img.features,
+        grad_image=ds @ txt,
+        grad_text=ds.T @ img,
         grad_log_tau=float(-(np.sum(h1 * s) + np.sum(h2 * s.T)) / tau),
     )
 
 
-def n_itc(img: EmbeddingBatch, txt: EmbeddingBatch, labels: LabelMatrix, tau: float) -> LossResult:
+def n_itc(img: np.ndarray, txt: np.ndarray, labels: LabelMatrix, tau: float) -> LossResult:
     """Identity-aware contrastive loss over both retrieval directions.
 
         L = -(1/2N) [ sum_ij qhat_ij log p_ij  +  sum_ij qhat'_ij log p'_ij ]
@@ -264,10 +241,10 @@ def n_itc(img: EmbeddingBatch, txt: EmbeddingBatch, labels: LabelMatrix, tau: fl
     dL/dF_I = (dL/dS) F_T and dL/dF_T = (dL/dS)^T F_I. The log-tau
     gradient is -sum(H * S + H' * S^T) / tau.
     """
-    _check_pair(img, txt, labels)
+    img, txt = _check_pair(img, txt, labels)
     tau = _check_tau(tau)
-    n = img.n
-    s = img.features @ txt.features.T
+    n = len(img)
+    s = img @ txt.T
 
     log_p1 = log_softmax_rows(s, tau)
     log_p2 = log_softmax_rows(s.T, tau)
@@ -281,8 +258,8 @@ def n_itc(img: EmbeddingBatch, txt: EmbeddingBatch, labels: LabelMatrix, tau: fl
 
 
 def r_itc(
-    img: EmbeddingBatch,
-    txt: EmbeddingBatch,
+    img: np.ndarray,
+    txt: np.ndarray,
     labels: LabelMatrix,
     tau: float,
     eps: float = 1e-8,
@@ -296,12 +273,12 @@ def r_itc(
     the (u + 1) term that differentiating p log p produces cancels because
     it is constant within a softmax row.
     """
-    _check_pair(img, txt, labels)
+    img, txt = _check_pair(img, txt, labels)
     tau = _check_tau(tau)
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    n = img.n
-    s = img.features @ txt.features.T
+    n = len(img)
+    s = img @ txt.T
 
     log_p1 = log_softmax_rows(s, tau)
     log_p2 = log_softmax_rows(s.T, tau)
@@ -317,7 +294,7 @@ def r_itc(
     return _pair_result(value, h1, h2, s, img, txt, tau)
 
 
-def c_itc(img: EmbeddingBatch, txt: EmbeddingBatch) -> LossResult:
+def c_itc(img: np.ndarray, txt: np.ndarray) -> LossResult:
     """Cyclic consistency between the two modalities' similarity structure:
 
         L = (1/N) sum_ij (A_ij - B_ij)^2 + (1/N) sum_ij (S_ij - S_ji)^2
@@ -327,9 +304,8 @@ def c_itc(img: EmbeddingBatch, txt: EmbeddingBatch) -> LossResult:
     Gradients: with D = A - B (symmetric) and E = S - S^T (antisymmetric),
     dL/dF_I = (4/N)(D F_I + E F_T) and dL/dF_T = (4/N)(-D F_T + E^T F_I).
     """
-    _check_pair(img, txt)
-    n = img.n
-    fi, ft = img.features, txt.features
+    fi, ft = _check_pair(img, txt)
+    n = len(fi)
     d = fi @ fi.T - ft @ ft.T
     e = fi @ ft.T - ft @ fi.T
     value = (np.sum(d * d) + np.sum(e * e)) / n
@@ -346,7 +322,7 @@ def make_view_pairing(n: int) -> np.ndarray:
     return np.concatenate([np.arange(n) + n, np.arange(n)])
 
 
-def ss_loss(views: EmbeddingBatch, pairing, tau_s: float = 0.1) -> LossResult:
+def ss_loss(views: np.ndarray, pairing, tau_s: float = 0.1) -> LossResult:
     """Self-supervised contrast between two views of the same items:
 
         L = -(1/2N) sum_i log [ exp(z_i . z_j(i) / tau_s)
@@ -360,11 +336,10 @@ def ss_loss(views: EmbeddingBatch, pairing, tau_s: float = 0.1) -> LossResult:
     term is the contribution each row makes as a negative (or positive)
     for every other anchor.
 
-    The gradient w.r.t. the single views batch is returned in grad_image.
+    `views` is a (2N, d) array of unit-norm rows; its gradient is returned
+    in grad_image.
     """
-    if not views.normalized:
-        raise NotNormalized("ss_loss requires a normalized views batch")
-    z = views.features
+    z = _unit_rows(views)
     m = z.shape[0]
     if m < 4 or m % 2 != 0:
         raise BadPairing(f"need an even number >= 4 of views, got {m}")
@@ -396,10 +371,10 @@ def ss_loss(views: EmbeddingBatch, pairing, tau_s: float = 0.1) -> LossResult:
 
 
 def mvs_terms(
-    img: EmbeddingBatch,
-    img_alt: EmbeddingBatch,
-    txt: EmbeddingBatch,
-    txt_alt: EmbeddingBatch,
+    img: np.ndarray,
+    img_alt: np.ndarray | None,
+    txt: np.ndarray,
+    txt_alt: np.ndarray | None,
     labels: LabelMatrix,
     tau: float,
     wanted=("mvs_i", "mvs_t", "mvs_it"),
@@ -408,7 +383,7 @@ def mvs_terms(
 
     Each mvs_* term is n_itc on the image view and the text view that
     TERM_VIEWS names for it. Each result's grad_image / grad_text refer to
-    the batches actually used (the caller routes them onto the right view).
+    the arrays actually used (the caller routes them onto the right view).
     `wanted` restricts the computed terms, so a view that no requested term
     touches may be passed as None.
     """

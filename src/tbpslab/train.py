@@ -4,10 +4,12 @@ of each modality.
 
 Gradient routing: `losses.TERM_VIEWS` names the views each loss term reads:
 "orig", "alt", or "both" (the [orig; alt] stack SS contrasts), from one view
-table per modality. Every term, SS included, reads its views from those
-tables in one loop, and its gradients go on the matching rows of a (2N, d)
-block per modality. The placed terms are combined linearly and pushed
-through the encoder backward passes, one per encode call, summing gradients.
+table per modality. The tables hold the embeddings themselves, (N, d) arrays
+of unit-norm rows, and "both" is their (2N, d) stack. Every term, SS
+included, reads its views from those tables in one loop, and its gradients
+go on the matching rows of a (2N, d) block per modality. The placed terms
+are combined linearly and pushed through the encoder backward passes, one
+per encode call, summing gradients.
 
 The optimizer skips frozen modules and dropped text layers entirely: their
 tensors keep their exact bytes, which the freeze tests pin down. The
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import losses, prefetch
 from .augment import AugmentConfig, augment_image, augment_text, tokenize
-from .losses import EmbeddingBatch, LossConfig, LossResult
+from .losses import LossConfig, LossResult
 from .model import Model, backward_image, backward_text, encode_image, encode_text, module_of
 from .numerics import Rng, softmax_rows
 from .prefetch import ViewWorker, image_streams
@@ -244,10 +246,9 @@ def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
     tau = model.tau
 
     def view_table(encoded):
-        views = {view: EmbeddingBatch(z, batch.ids, normalized=True) for view, (z, _) in encoded.items()}
+        views = {view: z for view, (z, _) in encoded.items()}
         if "alt" in views:
-            both = np.vstack([views["orig"].features, views["alt"].features])
-            views["both"] = EmbeddingBatch(both, np.concatenate([batch.ids, batch.ids]), normalized=True)
+            views["both"] = np.vstack([views["orig"], views["alt"]])
         return views
 
     tables = (view_table(img), view_table(txt))
@@ -267,7 +268,7 @@ def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
             if loss_cfg.soft_label:
                 # targets mix in the model's own current matching distribution;
                 # the distribution itself is held constant (no gradient through it)
-                sim = f_img.features @ f_txt.features.T
+                sim = f_img @ f_txt.T
                 n_labels = losses.soft_label(labels, softmax_rows(sim, tau), softmax_rows(sim.T, tau))
             res = losses.n_itc(f_img, f_txt, n_labels, tau)
         elif name == "r_itc":

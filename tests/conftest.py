@@ -12,8 +12,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from tbpslab.analyze import interpolate
 from tbpslab.augment import IMAGE_OPS, BadParam, _check_stack
-from tbpslab.losses import EmbeddingBatch, build_labels
+from tbpslab.losses import build_labels
 from tbpslab.numerics import Rng, l2_normalize_rows
 
 
@@ -27,6 +28,18 @@ def run_op(name: str, img, rng: Rng, **params) -> np.ndarray:
     stack = _check_stack(arr[None])
     op = IMAGE_OPS[name]
     return op.apply(stack, [op.draw(*stack.shape[1:3], rng, **params)])[0]
+
+
+def scan_c2(init, trained, module: str, evaluate, eps: float = 0.03, baseline=None) -> float:
+    """C2 by exhaustive scan, the oracle for `analyze.c2_score`'s coarse then
+    fine search: the first alpha of 0, 0.01, ..., 1 whose interpolation of
+    `module` keeps the metric within eps of the trained model's."""
+    if baseline is None:
+        baseline = evaluate(trained)
+    for k in range(101):
+        if baseline - evaluate(interpolate(init, trained, module, k / 100)) < eps:
+            return k / 100
+    raise AssertionError("alpha = 1 must satisfy the band")
 
 
 def random_raw_pair(rng: Rng, n: int, d: int, repeat_ids: bool = True):
@@ -45,10 +58,7 @@ def random_raw_pair(rng: Rng, n: int, d: int, repeat_ids: bool = True):
 
 
 def batches_from_raw(raw_img, raw_txt, ids):
-    img = EmbeddingBatch(l2_normalize_rows(raw_img), ids, normalized=True)
-    txt = EmbeddingBatch(l2_normalize_rows(raw_txt), ids, normalized=True)
-    labels = build_labels(ids, ids)
-    return img, txt, labels
+    return l2_normalize_rows(raw_img), l2_normalize_rows(raw_txt), build_labels(ids, ids)
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import scan_c2
 from gradcheck import check_against_raw
 from tbpslab import experiments, losses
 from tbpslab.analyze import c1_scores, c2_score
@@ -25,7 +26,7 @@ from tbpslab.augment import (
 from tbpslab.cli import main as cli_main
 from tbpslab.config import materialize, resolve
 from tbpslab.evaluate import evaluate_model, retrieval_metrics
-from tbpslab.losses import EmbeddingBatch, LossConfig, build_labels, make_view_pairing
+from tbpslab.losses import LossConfig, build_labels, make_view_pairing
 from tbpslab.numerics import Rng
 from tbpslab.train import Schedule
 
@@ -99,8 +100,7 @@ def _single_term_checks(ids, mats, log_tau):
 
     def pair_loss(fn, needs_tau=True):
         def loss(norm, tau):
-            img = EmbeddingBatch(norm["img"], ids, normalized=True)
-            txt = EmbeddingBatch(norm["txt"], ids, normalized=True)
+            img, txt = norm["img"], norm["txt"]
             res = fn(img, txt, labels, tau) if needs_tau else fn(img, txt)
             return res.value, {"img": res.grad_image, "txt": res.grad_text}, res.grad_log_tau
 
@@ -114,9 +114,7 @@ def _single_term_checks(ids, mats, log_tau):
     pairing = make_view_pairing(n)
 
     def ss(norm, tau):
-        feats = np.vstack([norm["a"], norm["b"]])
-        views = EmbeddingBatch(feats, np.concatenate([ids, ids]), normalized=True)
-        res = losses.ss_loss(views, pairing)
+        res = losses.ss_loss(np.vstack([norm["a"], norm["b"]]), pairing)
         return res.value, {"a": res.grad_image[:n], "b": res.grad_image[n:]}, 0.0
 
     yield "ss", check_against_raw(ss, {"a": mats["img"], "b": mats["img_alt"]})
@@ -129,8 +127,8 @@ def _single_term_checks(ids, mats, log_tau):
         def mvs(norm, tau, name=name, ik=img_key, tk=txt_key):
             # hand the term exactly the two views it reads; the rest stay None
             args = {"img": None, "img_alt": None, "txt": None, "txt_alt": None}
-            args[ik] = EmbeddingBatch(norm[ik], ids, normalized=True)
-            args[tk] = EmbeddingBatch(norm[tk], ids, normalized=True)
+            args[ik] = norm[ik]
+            args[tk] = norm[tk]
             res = losses.mvs_terms(
                 args["img"], args["img_alt"], args["txt"], args["txt_alt"],
                 labels, tau, wanted=(name,),
@@ -154,15 +152,10 @@ def _stacked_loss(ids):
     config = LossConfig(weights=dict(STACK_WEIGHTS))
 
     def loss(norm, tau):
-        def eb(key):
-            return EmbeddingBatch(norm[key], ids, normalized=True)
-
         def ss_of(a_key, b_key):
-            feats = np.vstack([norm[a_key], norm[b_key]])
-            views = EmbeddingBatch(feats, np.concatenate([ids, ids]), normalized=True)
-            return losses.ss_loss(views, pairing)
+            return losses.ss_loss(np.vstack([norm[a_key], norm[b_key]]), pairing)
 
-        img, img_alt, txt, txt_alt = eb("img"), eb("img_alt"), eb("txt"), eb("txt_alt")
+        img, img_alt, txt, txt_alt = norm["img"], norm["img_alt"], norm["txt"], norm["txt_alt"]
         terms = {
             "n_itc": losses.n_itc(img, txt, labels, tau),
             "r_itc": losses.r_itc(img, txt, labels, tau),
@@ -240,8 +233,8 @@ def test_criterion_2_closed_forms():
         return np.tile(v / np.linalg.norm(v), (n, 1))
 
     # all-identical embeddings give uniform predictions: n_itc = ln N
-    img = EmbeddingBatch(repeated_row(), ids, normalized=True)
-    txt = EmbeddingBatch(repeated_row(), ids, normalized=True)
+    img = repeated_row()
+    txt = repeated_row()
     labels = build_labels(ids, ids)
     v_uniform = losses.n_itc(img, txt, labels, 0.07).value
     assert abs(v_uniform - np.log(n)) < 1e-9
@@ -254,14 +247,13 @@ def test_criterion_2_closed_forms():
     # identical modalities: both cyclic gaps vanish exactly
     feats = Rng(3).normal(size=(n, 8))
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
-    same = EmbeddingBatch(feats, ids, normalized=True)
-    v_sym = losses.c_itc(same, EmbeddingBatch(feats.copy(), ids, normalized=True)).value
+    v_sym = losses.c_itc(feats, feats.copy()).value
     assert abs(v_sym) <= 1e-12
 
     # all 2N view rows identical: every candidate ties, ss = log(2N - 1)
     row = rng.normal(size=8)
     row /= np.linalg.norm(row)
-    views = EmbeddingBatch(np.tile(row, (2 * n, 1)), np.concatenate([ids, ids]), normalized=True)
+    views = np.tile(row, (2 * n, 1))
     v_ss = losses.ss_loss(views, make_view_pairing(n)).value
     assert abs(v_ss - np.log(2 * n - 1)) < 1e-6
 
@@ -471,8 +463,8 @@ def test_criterion_8_compression(reference_run):
         diff = sum(float(np.abs(trained.params[k] - model.params[k]).sum()) for k in keys)
         return 1.0 - 0.2 * diff / full
 
-    scan = c2_score(init, trained, probe, recovery_eval, eps=0.0305, baseline=1.0, method="scan")
-    refine = c2_score(init, trained, probe, recovery_eval, eps=0.0305, baseline=1.0, method="refine")
+    scan = scan_c2(init, trained, probe, recovery_eval, eps=0.0305, baseline=1.0)
+    refine = c2_score(init, trained, probe, recovery_eval, eps=0.0305, baseline=1.0)
     assert scan == 0.85
     assert refine == scan
 
@@ -482,16 +474,16 @@ def test_criterion_8_compression(reference_run):
         same = all(np.array_equal(model.params[k], trained.params[k]) for k in keys)
         return 1.0 if same else 0.0
 
-    assert c2_score(init, trained, probe, exact_only, eps=0.0305, baseline=1.0, method="scan") == 1.0
-    assert c2_score(init, trained, probe, lambda m: 1.0, eps=0.0305, baseline=1.0, method="scan") == 0.0
+    assert c2_score(init, trained, probe, exact_only, eps=0.0305, baseline=1.0) == 1.0
+    assert c2_score(init, trained, probe, lambda m: 1.0, eps=0.0305, baseline=1.0) == 0.0
 
     # refine agrees with the exhaustive scan on the real checkpoint as well
     def val_rank1(model):
         return evaluate_model(model, run.dataset.val).rank1
 
     real_base = val_rank1(trained)
-    real_scan = c2_score(init, trained, probe, val_rank1, baseline=real_base, method="scan")
-    real_refine = c2_score(init, trained, probe, val_rank1, baseline=real_base, method="refine")
+    real_scan = scan_c2(init, trained, probe, val_rank1, baseline=real_base)
+    real_refine = c2_score(init, trained, probe, val_rank1, baseline=real_base)
     assert real_refine == real_scan
 
     # freeze-mode budget series stays close to baseline at x <= 2

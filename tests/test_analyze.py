@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import scan_c2
 from tbpslab.analyze import (
     C1Result,
     XOutOfRange,
@@ -148,9 +149,8 @@ class TestC2:
         init, trained = pair
         for slope in (0.05, 0.2, 1.0):
             evaluate = self.linear_evaluate(init, trained, "txt.out", slope)
-            scan = c2_score(init, trained, "txt.out", evaluate, method="scan")
-            refine = c2_score(init, trained, "txt.out", evaluate, method="refine")
-            assert scan == refine
+            refine = c2_score(init, trained, "txt.out", evaluate)
+            assert refine == scan_c2(init, trained, "txt.out", evaluate)
 
     def test_useless_module_scores_zero(self, pair):
         init, trained = pair
@@ -168,8 +168,6 @@ class TestC2:
         init, trained = pair
         with pytest.raises(ValueError):
             c2_score(init, trained, "img.out", lambda m: 1.0, eps=0.0)
-        with pytest.raises(ValueError):
-            c2_score(init, trained, "img.out", lambda m: 1.0, method="guess")
 
 
 class TestSelection:

@@ -31,7 +31,8 @@ from tbpslab.schema import load
 # values each component accepted while a run used them wrongly or failed
 # only inside training: the schedule, a negative decay or loss weight, a
 # zero r_itc floor, an unknown or repeated frozen module, a repeated
-# dropped layer, a NaN or infinite rate, temperature or floor
+# dropped layer, a NaN or infinite rate, temperature or floor, a count
+# that is not an integer
 LATE_FAILURES = [
     "train.warmup_frac=2",
     "train.lr_peak=-1",
@@ -48,6 +49,12 @@ LATE_FAILURES = [
     "model.tau_init=.inf",
     "loss.tau_s=.inf",
     "loss.eps=.inf",
+    "train.epochs=2.5",
+    "train.batch_size=8.0",
+    "model.hidden_dim=12.5",
+    "data.n_identities=10.5",
+    "data.captions_per_image=1.5",
+    "model.image_layers=true",
 ]
 
 
@@ -290,6 +297,19 @@ class TestSchema:
         del header["vocab"]
         with pytest.raises(ConfigError, match="model.vocab"):
             load(ModelConfig, header, "model")
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_dim", 12.5), ("hidden_dim", 12.0), ("image_layers", True),
+        ("dropout", False), ("dropout", "0.1"),
+    ])
+    def test_mistyped_header_value_is_config_error(self, key, value):
+        header = {**asdict(ModelConfig()), key: value}
+        with pytest.raises(ConfigError, match=f"model.{key}"):
+            load(ModelConfig, header, "model")
+
+    def test_float_field_takes_an_int(self):
+        header = {**asdict(ModelConfig()), "dropout": 0, "tau_init": 1}
+        assert load(ModelConfig, header, "model").tau_init == 1
 
     def test_raster_is_filled_from_the_data_section(self):
         exp = materialize(resolve(overrides=["data.height=56", "data.width=32"]))

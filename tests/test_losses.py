@@ -9,7 +9,6 @@ from conftest import batches_from_raw, random_raw_pair
 from gradcheck import check_against_raw
 from tbpslab.losses import (
     BadPairing,
-    EmbeddingBatch,
     LengthMismatch,
     LossConfig,
     LossResult,
@@ -32,12 +31,11 @@ LOG_TAU = float(np.log(0.07))
 TAU = 0.07
 
 
-def identical_batch(n, d, ids):
+def identical_batch(n, d):
     """All rows equal to the same unit vector."""
     row = np.zeros(d)
     row[0] = 1.0
-    feats = np.tile(row, (n, 1))
-    return EmbeddingBatch(feats, ids, normalized=True)
+    return np.tile(row, (n, 1))
 
 
 class TestBuildLabels:
@@ -80,9 +78,7 @@ class TestNItc:
         # Identical embeddings with distinct identities: the softmax is
         # uniform and the loss collapses to log(N) exactly.
         ids = np.arange(n)
-        img = identical_batch(n, 8, ids)
-        txt = identical_batch(n, 8, ids)
-        value = n_itc(img, txt, build_labels(ids, ids), TAU).value
+        value = n_itc(identical_batch(n, 8), identical_batch(n, 8), build_labels(ids, ids), TAU).value
         assert abs(value - np.log(n)) < 1e-9
 
     @given(st.integers(0, 2**32), st.integers(4, 8))
@@ -105,9 +101,7 @@ class TestNItc:
             labels = build_labels(ids, ids)
 
             def fn(mats, tau):
-                img = EmbeddingBatch(mats["img"], ids, normalized=True)
-                txt = EmbeddingBatch(mats["txt"], ids, normalized=True)
-                r = n_itc(img, txt, labels, tau)
+                r = n_itc(mats["img"], mats["txt"], labels, tau)
                 return r.value, {"img": r.grad_image, "txt": r.grad_text}, r.grad_log_tau
 
             err = check_against_raw(fn, {"img": raw_i, "txt": raw_t}, LOG_TAU)
@@ -116,10 +110,8 @@ class TestNItc:
     def test_requires_normalized(self, rng):
         feats = rng.normal(size=(4, 3))
         ids = np.arange(4)
-        raw = EmbeddingBatch(feats, ids, normalized=False)
-        ok = EmbeddingBatch(l2_normalize_rows(feats), ids, normalized=True)
         with pytest.raises(NotNormalized):
-            n_itc(raw, ok, build_labels(ids, ids), TAU)
+            n_itc(feats, l2_normalize_rows(feats), build_labels(ids, ids), TAU)
 
     def test_non_positive_temperature(self, rng):
         raw_i, raw_t, ids = random_raw_pair(rng, 4, 3)
@@ -130,16 +122,15 @@ class TestNItc:
     def test_batch_size_mismatch(self, rng):
         raw_i, raw_t, ids = random_raw_pair(rng, 4, 3)
         img, txt, labels = batches_from_raw(raw_i, raw_t, ids)
-        short = EmbeddingBatch(txt.features[:3], ids[:3], normalized=True)
         with pytest.raises(ShapeMismatch):
-            n_itc(img, short, labels, TAU)
+            n_itc(img, txt[:3], labels, TAU)
 
 
 class TestSoftLabel:
     def test_rows_still_sum_to_one(self, rng):
         raw_i, raw_t, ids = random_raw_pair(rng, 6, 4)
         img, txt, labels = batches_from_raw(raw_i, raw_t, ids)
-        s = img.features @ txt.features.T
+        s = img @ txt.T
         from tbpslab.numerics import softmax_rows
 
         p1 = softmax_rows(s, TAU)
@@ -156,13 +147,11 @@ class TestSoftLabel:
         img, txt, labels = batches_from_raw(raw_i, raw_t, ids)
         from tbpslab.numerics import softmax_rows
 
-        s = img.features @ txt.features.T
+        s = img @ txt.T
         soft = soft_label(labels, softmax_rows(s, TAU), softmax_rows(s.T, TAU))
 
         def fn(mats, tau):
-            im = EmbeddingBatch(mats["img"], ids, normalized=True)
-            tx = EmbeddingBatch(mats["txt"], ids, normalized=True)
-            r = n_itc(im, tx, soft, tau)
+            r = n_itc(mats["img"], mats["txt"], soft, tau)
             return r.value, {"img": r.grad_image, "txt": r.grad_text}, r.grad_log_tau
 
         err = check_against_raw(fn, {"img": raw_i, "txt": raw_t}, LOG_TAU)
@@ -181,11 +170,9 @@ class TestRItc:
         # N=2, all ids equal, identical embeddings: p == q_hat == 0.5
         # everywhere, so only the eps floor keeps the value off zero.
         ids = np.zeros(2, dtype=int)
-        img = identical_batch(2, 4, ids)
-        txt = identical_batch(2, 4, ids)
         labels = build_labels(ids, ids)
         eps = 1e-8
-        value = r_itc(img, txt, labels, TAU, eps).value
+        value = r_itc(identical_batch(2, 4), identical_batch(2, 4), labels, TAU, eps).value
         expected = 2 * 4 * 0.5 * np.log(0.5 / (0.5 + eps)) / 4
         assert abs(value) < 1e-6
         assert abs(value - expected) < 1e-12
@@ -206,9 +193,7 @@ class TestRItc:
             labels = build_labels(ids, ids)
 
             def fn(mats, tau):
-                im = EmbeddingBatch(mats["img"], ids, normalized=True)
-                tx = EmbeddingBatch(mats["txt"], ids, normalized=True)
-                r = r_itc(im, tx, labels, tau)
+                r = r_itc(mats["img"], mats["txt"], labels, tau)
                 return r.value, {"img": r.grad_image, "txt": r.grad_text}, r.grad_log_tau
 
             err = check_against_raw(fn, {"img": raw_i, "txt": raw_t}, LOG_TAU)
@@ -224,10 +209,7 @@ class TestRItc:
 class TestCItc:
     def test_identical_towers_give_zero(self, rng):
         feats = l2_normalize_rows(rng.normal(size=(5, 6)))
-        ids = np.arange(5)
-        img = EmbeddingBatch(feats, ids, normalized=True)
-        txt = EmbeddingBatch(feats.copy(), ids, normalized=True)
-        assert c_itc(img, txt).value == 0.0
+        assert c_itc(feats, feats.copy()).value == 0.0
 
     @given(st.integers(0, 2**32), st.integers(2, 8))
     @settings(max_examples=25, deadline=None)
@@ -239,15 +221,14 @@ class TestCItc:
 
     def test_value_oracle_loops(self, rng):
         raw_i, raw_t, ids = random_raw_pair(rng, 4, 5)
-        img, txt, _ = batches_from_raw(raw_i, raw_t, ids)
-        fi, ft = img.features, txt.features
+        fi, ft, _ = batches_from_raw(raw_i, raw_t, ids)
         n = 4
         total = 0.0
         for i in range(n):
             for j in range(n):
                 total += (np.dot(fi[i], fi[j]) - np.dot(ft[i], ft[j])) ** 2 / n
                 total += (np.dot(fi[i], ft[j]) - np.dot(fi[j], ft[i])) ** 2 / n
-        assert abs(c_itc(img, txt).value - total) < 1e-12
+        assert abs(c_itc(fi, ft).value - total) < 1e-12
 
     def test_gradients_match_finite_differences(self, rng):
         for k in range(3):
@@ -256,9 +237,7 @@ class TestCItc:
             raw_i, raw_t, ids = random_raw_pair(sub, n, d)
 
             def fn(mats, tau):
-                im = EmbeddingBatch(mats["img"], ids, normalized=True)
-                tx = EmbeddingBatch(mats["txt"], ids, normalized=True)
-                r = c_itc(im, tx)
+                r = c_itc(mats["img"], mats["txt"])
                 return r.value, {"img": r.grad_image, "txt": r.grad_text}, r.grad_log_tau
 
             err = check_against_raw(fn, {"img": raw_i, "txt": raw_t}, log_tau=None)
@@ -268,17 +247,14 @@ class TestCItc:
 class TestSsLoss:
     def test_all_identical_views_give_log_2n_minus_1(self):
         for n in (2, 4, 7):
-            ids = np.arange(n)
-            views = identical_batch(2 * n, 6, np.concatenate([ids, ids]))
-            value = ss_loss(views, make_view_pairing(n), tau_s=0.1).value
+            value = ss_loss(identical_batch(2 * n, 6), make_view_pairing(n), tau_s=0.1).value
             assert abs(value - np.log(2 * n - 1)) < 1e-6
 
     def test_orthogonal_pairs_near_zero(self):
         # Two pairs, each pair identical, pairs mutually orthogonal: the
         # positive dominates and the loss is ~2 exp(-1 / tau_s).
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        views = EmbeddingBatch(feats, np.array([0, 1, 0, 1]), normalized=True)
-        value = ss_loss(views, make_view_pairing(2), tau_s=0.1).value
+        value = ss_loss(feats, make_view_pairing(2), tau_s=0.1).value
         assert 0.0 < value < 1e-3
 
     def test_gradients_match_finite_differences(self, rng):
@@ -287,26 +263,22 @@ class TestSsLoss:
             n, d = int(sub.integers(2, 5)), int(sub.integers(3, 8))
             raw = sub.normal(size=(2 * n, d))
             pairing = make_view_pairing(n)
-            ids = np.concatenate([np.arange(n), np.arange(n)])
 
             def fn(mats, tau):
-                v = EmbeddingBatch(mats["views"], ids, normalized=True)
-                r = ss_loss(v, pairing, tau_s=0.1)
+                r = ss_loss(mats["views"], pairing, tau_s=0.1)
                 return r.value, {"views": r.grad_image}, r.grad_log_tau
 
             err = check_against_raw(fn, {"views": raw}, log_tau=None)
             assert err < 1e-4, f"config {k}: max rel error {err}"
 
     def test_bad_pairings_rejected(self, rng):
-        feats = l2_normalize_rows(rng.normal(size=(4, 3)))
-        views = EmbeddingBatch(feats, np.arange(4), normalized=True)
+        views = l2_normalize_rows(rng.normal(size=(4, 3)))
         with pytest.raises(BadPairing):
             ss_loss(views, np.array([0, 1, 2, 3]))  # fixed points
         with pytest.raises(BadPairing):
             ss_loss(views, np.array([1, 2, 3, 0]))  # not an involution
-        tiny = EmbeddingBatch(feats[:2], np.arange(2), normalized=True)
         with pytest.raises(BadPairing):
-            ss_loss(tiny, np.array([1, 0]))  # too few views
+            ss_loss(views[:2], np.array([1, 0]))  # too few views
 
 
 class TestMvs:
@@ -314,15 +286,56 @@ class TestMvs:
         n, d = 5, 4
         ids = np.arange(n) // 2 if n >= 4 else np.arange(n)
         mats = {k: l2_normalize_rows(rng.normal(size=(n, d))) for k in "abcd"}
-        img = EmbeddingBatch(mats["a"], ids, normalized=True)
-        img_alt = EmbeddingBatch(mats["b"], ids, normalized=True)
-        txt = EmbeddingBatch(mats["c"], ids, normalized=True)
-        txt_alt = EmbeddingBatch(mats["d"], ids, normalized=True)
+        img, img_alt, txt, txt_alt = (mats[k] for k in "abcd")
         labels = build_labels(ids, ids)
         terms = mvs_terms(img, img_alt, txt, txt_alt, labels, TAU)
         assert terms["mvs_i"].value == n_itc(img_alt, txt, labels, TAU).value
         assert terms["mvs_t"].value == n_itc(img, txt_alt, labels, TAU).value
         assert terms["mvs_it"].value == n_itc(img_alt, txt_alt, labels, TAU).value
+
+
+def slot_calls(ok, labels):
+    """Each loss entry point, once per embedding argument: every call puts
+    its argument in that slot and valid unit rows in all the others."""
+    pairing = make_view_pairing(len(ok) // 2)
+    return {
+        "n_itc": [lambda z: n_itc(z, ok, labels, TAU), lambda z: n_itc(ok, z, labels, TAU)],
+        "r_itc": [lambda z: r_itc(z, ok, labels, TAU), lambda z: r_itc(ok, z, labels, TAU)],
+        "c_itc": [lambda z: c_itc(z, ok), lambda z: c_itc(ok, z)],
+        "mvs_terms": [
+            lambda z: mvs_terms(z, ok, ok, ok, labels, TAU),
+            lambda z: mvs_terms(ok, z, ok, ok, labels, TAU),
+            lambda z: mvs_terms(ok, ok, z, ok, labels, TAU),
+            lambda z: mvs_terms(ok, ok, ok, z, labels, TAU),
+        ],
+        "ss_loss": [lambda z: ss_loss(z, pairing)],
+    }
+
+
+def with_nan(z):
+    z = z.copy()
+    z[1, 0] = np.nan
+    return z
+
+
+class TestEveryLossRefusesBadRows:
+    @pytest.mark.parametrize("loss", ["n_itc", "r_itc", "c_itc", "mvs_terms", "ss_loss"])
+    @pytest.mark.parametrize(
+        "corrupt, error, match",
+        [
+            (lambda z: 2.0 * z, NotNormalized, None),
+            (with_nan, ValueError, "NaN or Inf"),
+            (lambda z: z[None], ShapeMismatch, None),
+        ],
+        ids=["not-unit-norm", "nan", "3-d"],
+    )
+    def test_rejected_in_every_slot(self, rng, loss, corrupt, error, match):
+        ok = l2_normalize_rows(rng.normal(size=(4, 3)))
+        ids = np.arange(4)
+        for call in slot_calls(ok, build_labels(ids, ids))[loss]:
+            call(ok)  # the valid rows pass
+            with pytest.raises(error, match=match):
+                call(corrupt(ok))
 
 
 class TestStack:
@@ -393,7 +406,5 @@ class TestFrozenRegressionValues:
         assert abs(res.grad_log_tau - -5.837756491580403) < 1e-12
         assert abs(r_itc(img, txt, labels, 0.07).value - 13.630742520401425) < 1e-12
         assert abs(c_itc(img, txt).value - 2.57597987712654) < 1e-12
-        views = EmbeddingBatch(
-            l2_normalize_rows(rng.normal(size=(8, 8))), np.arange(8), normalized=True
-        )
+        views = l2_normalize_rows(rng.normal(size=(8, 8)))
         assert abs(ss_loss(views, make_view_pairing(4), 0.1).value - 3.8299453891298234) < 1e-12
