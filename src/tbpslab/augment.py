@@ -1,7 +1,9 @@
 """Image and text augmentation policies.
 
-Images are (H, W, 3) float64 arrays in [0, 1], batched as (B, H, W, 3)
-stacks; text is a list of lowercase tokens. Every op takes an explicit
+Images are (H, W, 3) arrays, batched as (B, H, W, 3) stacks: uint8 as
+the corpus stores them (k meaning k/255) or float64 in [0, 1].
+`augment_image` reads a stack as float64 `numerics.pixels` and returns
+float64 views. Text is a list of lowercase tokens. Every op takes an explicit
 `Rng` and is a pure function of (input, params, rng state), so
 augmentation is bit-reproducible.
 
@@ -47,7 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import Rng, pixels
 
 _LUMA = np.array([0.299, 0.587, 0.114])
 
@@ -69,8 +71,9 @@ class PoolTooSmall(ValueError):
 
 
 def _check_stack(images) -> np.ndarray:
-    """A float64 copy of a (B, H, W, 3) stack, checked for finiteness."""
-    arr = np.array(images, dtype=np.float64)
+    """The float64 `pixels` of a (B, H, W, 3) stack, a new array checked
+    for finiteness."""
+    arr = pixels(images)
     if arr.ndim != 4 or arr.shape[3] != 3:
         raise BadParam(f"images must be (B, H, W, 3), got {arr.shape}")
     if not np.isfinite(arr).all():

@@ -17,8 +17,11 @@ bag-of-words matcher over attribute words retrieves the right identity at
 rank 1 by exact-overlap argmax. That matcher is the corpus's correctness
 oracle; a trained encoder has to rediscover the same structure from pixels.
 
-Rendering quantizes to the uint8 grid (pixel values k/255) so images
-survive a JSONL round trip bit-exactly in the compact encoding.
+Images are rendered on the uint8 grid and stored as the (H, W, 3) uint8
+arrays they are rendered as, one byte per value, where k means the pixel
+value k/255. They are read as numbers only where a tower or an
+augmentation reads them (`numerics.pixels`). A sample image may also be
+float64 in [0, 1], for a loaded record that is off the grid.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ class IdentityAttrs:
 
 @dataclass
 class Sample:
-    image: np.ndarray  # (H, W, 3) float64 in [0, 1]
+    image: np.ndarray  # (H, W, 3) uint8, k meaning k/255; float64 in [0, 1] when off the grid
     caption: str
     identity: int
 
@@ -171,8 +174,7 @@ def _sample_identities(n: int, rng: Rng) -> list:
 
 
 def _render(spec: ToySpec, attrs: IdentityAttrs, rng: Rng) -> np.ndarray:
-    """One image of the identity: figure on a light background, integer
-    pixel values so the result sits exactly on the k/255 grid."""
+    """One uint8 image of the identity: figure on a light background."""
     h, w = spec.height, spec.width
     img = np.empty((h, w, 3), dtype=np.int64)
     img[:] = rng.integers(200, 241)
@@ -196,7 +198,7 @@ def _render(spec: ToySpec, attrs: IdentityAttrs, rng: Rng) -> np.ndarray:
 
     if spec.pixel_noise:
         img = img + rng.integers(-spec.pixel_noise, spec.pixel_noise + 1, size=img.shape)
-    return np.clip(img, 0, 255).astype(np.uint8).astype(np.float64) / 255.0
+    return np.clip(img, 0, 255).astype(np.uint8)
 
 
 def _caption(attrs: IdentityAttrs, rng: Rng) -> str:
@@ -263,8 +265,10 @@ _REQUIRED_SAMPLE = ("split", "identity", "caption", "image_mode", "image_b64", "
 
 
 def _encode_image(image: np.ndarray) -> tuple:
-    """Compact uint8 encoding when every pixel sits on the k/255 grid,
-    otherwise raw float64 bytes."""
+    """Compact uint8 encoding for a uint8 image or a float image whose every
+    pixel sits on the k/255 grid, otherwise raw float64 bytes."""
+    if image.dtype == np.uint8:
+        return "u8", base64.b64encode(image.tobytes()).decode("ascii")
     scaled = image * 255.0
     rounded = np.round(scaled)
     if np.max(np.abs(scaled - rounded)) < 1e-9 and rounded.min() >= 0 and rounded.max() <= 255:
@@ -272,18 +276,27 @@ def _encode_image(image: np.ndarray) -> tuple:
     return "f64", base64.b64encode(np.ascontiguousarray(image, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _decode_image(mode: str, blob: str, h: int, w: int) -> np.ndarray:
-    raw = base64.b64decode(blob.encode("ascii"))
+def _decode_image(rec: dict, spec: ToySpec) -> np.ndarray:
+    """A record's image: uint8 from a `u8` payload, float64 from `f64`. Its
+    `h` and `w` must be the header's raster."""
+    for key, want in (("h", spec.height), ("w", spec.width)):
+        # bool is an int subclass, and True is not a raster size
+        if type(rec[key]) is not int or rec[key] != want:
+            raise ValueError(
+                f"image {key} is {rec[key]!r}, but the header's raster is {spec.height}x{spec.width}"
+            )
+    raw = base64.b64decode(rec["image_b64"].encode("ascii"))
+    mode = rec["image_mode"]
     if mode == "u8":
-        arr = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
+        arr = np.frombuffer(raw, dtype=np.uint8)
     elif mode == "f64":
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     else:
         raise ValueError(f"unknown image mode '{mode}'")
-    expected = h * w * 3
+    expected = spec.height * spec.width * 3
     if arr.size != expected:
         raise ValueError(f"image payload has {arr.size} values, expected {expected}")
-    return arr.reshape(h, w, 3).copy()
+    return arr.reshape(spec.height, spec.width, 3).copy()
 
 
 def save_jsonl(dataset: ToyDataset, path):
@@ -345,7 +358,7 @@ def load_jsonl(path) -> ToyDataset:
             if key not in rec:
                 raise MissingField(f"line {lineno}: record missing '{key}'")
         try:
-            image = _decode_image(rec["image_mode"], rec["image_b64"], rec["h"], rec["w"])
+            image = _decode_image(rec, spec)
         except ValueError as e:
             raise ParseError(f"line {lineno}: {e}") from None
         try:

@@ -32,7 +32,7 @@ from .model import (
     text_chain,
     text_from,
 )
-from .numerics import ShapeMismatch
+from .numerics import ShapeMismatch, stack_images
 
 
 class EmptyGallery(ValueError):
@@ -147,18 +147,20 @@ def unique_images(samples) -> tuple:
     """Deduplicated image stack and identity array. Samples that share an
     image (several captions of one photo) collapse to one gallery item;
     duplicates are detected by exact pixel bytes, looked up by their
-    digest, so only the gallery itself stays in memory."""
+    digest. The images are stacked as a training batch is
+    (`numerics.stack_images`): uint8 unless some image is off the grid."""
     if not samples:
         raise EmptyGallery("no samples")
-    images, ids, seen = [], [], {}
-    for s in samples:
-        candidates = seen.setdefault(_pixel_digest(s.image), [])
-        if any(images[j].tobytes() == s.image.tobytes() for j in candidates):
+    stack = stack_images([s.image for s in samples])
+    keep, ids, seen = [], [], {}
+    for i, s in enumerate(samples):
+        candidates = seen.setdefault(_pixel_digest(stack[i]), [])
+        if any(stack[j].tobytes() == stack[i].tobytes() for j in candidates):
             continue
-        candidates.append(len(images))
-        images.append(s.image)
+        candidates.append(i)
+        keep.append(i)
         ids.append(s.identity)
-    return np.stack(images), np.array(ids, dtype=np.int64)
+    return stack[keep], np.array(ids, dtype=np.int64)
 
 
 @dataclass(frozen=True)

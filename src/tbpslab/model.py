@@ -29,8 +29,9 @@ them against finite differences end to end.
 
 Precision: the passes compute in the dtype of the parameters they are
 given. Training gives them a float32 copy (`train.tower_copy`), so float32
-starts where the images (float64 in the corpus and the view worker), the
-embedding rows and the dropout masks enter a tower, and stops at
+starts where the images (uint8 in the corpus, float64 from the view
+worker; `encode_image` reads either as `numerics.pixels` in the tower's
+dtype), the embedding rows and the dropout masks enter a tower, and stops at
 `l2_normalize_rows`, which returns float64 embeddings for the losses. On
 the way back, the float64 gradient from `l2_normalize_rows_backward` is
 cast to the tower's dtype, and the passes return parameter gradients in
@@ -51,7 +52,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .numerics import Rng, ShapeMismatch, l2_normalize_rows, l2_normalize_rows_backward
+from .numerics import Rng, ShapeMismatch, l2_normalize_rows, l2_normalize_rows_backward, pixels
 from .schema import load
 
 CHECKPOINT_MAGIC = b"TTLAB001"
@@ -352,13 +353,14 @@ def image_from(model: Model, cache: TowerCache, start: int = 0) -> tuple:
 
 
 def encode_image(model: Model, images) -> tuple:
-    """Encode a (B, H, W, 3) stack; returns (embeddings, cache).
+    """Encode a (B, H, W, 3) stack, uint8 or float, as its `pixels` in the
+    parameters' dtype; returns (embeddings, cache).
 
     Embeddings are row-normalized (B, embed_dim). The cache carries every
     intermediate needed by backward_image.
     """
     cfg = model.config
-    images = np.asarray(images, dtype=model.params["img.patch.W"].dtype)
+    images = np.asarray(images)
     expect = (cfg.image_height, cfg.image_width, 3)
     if images.ndim != 4 or images.shape[1:] != expect:
         raise ShapeMismatch(f"images must be (B, {expect[0]}, {expect[1]}, 3), got {images.shape}")
@@ -367,6 +369,8 @@ def encode_image(model: Model, images) -> tuple:
     gh, gw = cfg.image_height // p, cfg.image_width // p
     x = images.reshape(len(images), gh, p, gw, p, 3)
     x = x.transpose(0, 1, 3, 2, 4, 5)  # (B, gh, gw, p, p, 3)
+    # converted and gathered into patch order in one pass: one new array per call
+    x = pixels(x, model.params["img.patch.W"].dtype)
     return image_from(model, TowerCache(x.reshape(len(images), gh * gw, p * p * 3)))
 
 

@@ -1,5 +1,6 @@
-"""Shared numeric kernel: row normalization, row softmax, RNG, and the
-finite-difference oracle.
+"""Shared numeric kernel: row normalization, row softmax, RNG, the
+finite-difference oracle, and the one rule that turns stored pixels into
+numbers.
 
 Everything downstream (losses, encoders, metrics) goes through these few
 functions, so their contracts are deliberately strict: inputs must be finite,
@@ -40,6 +41,32 @@ def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: contains NaN or Inf")
     return arr
+
+
+def pixels(images, dtype=np.float64) -> np.ndarray:
+    """Stored images as pixel values in [0, 1]: a new C-ordered array of
+    `dtype`, so a strided view (a patch layout) is gathered in the same pass.
+
+    The corpus keeps images as uint8, where k means k/255; this is the one
+    place that reads them as numbers. k/255 is computed in `dtype` itself,
+    which for float32 gives float32(float64(k) / 255) at every level, so
+    either tower precision sees the bytes a float64 corpus would give it.
+    Float input (off-grid images, augmented views) is cast to `dtype`.
+    """
+    arr = np.asarray(images)
+    out = arr.astype(dtype, order="C")
+    if arr.dtype == np.uint8:
+        out /= out.dtype.type(255)
+    return out
+
+
+def stack_images(images) -> np.ndarray:
+    """One (B, H, W, 3) stack of sample images: uint8 when every image is
+    uint8, otherwise the float64 `pixels` of each image. A plain
+    `np.stack` of a mixed list would read uint8 k as k, not k/255."""
+    if all(image.dtype == np.uint8 for image in images):
+        return np.stack(images)
+    return np.stack([pixels(image) for image in images])
 
 
 def l2_normalize_rows(m) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 While step k trains, one worker process builds the augmented image views
 of steps k+1 .. k+LOOKAHEAD. It derives each sample's stream as
-`train.assemble_batch` does (`image_streams`) and calls the same
+`train.assemble_batch` does (`image_streams`), stacks the samples' stored
+uint8 images the same way (`numerics.stack_images`) and calls the same
 `augment.augment_image`, so its views are byte-identical to the ones built
-in process.
+in process. The views are float64: augmentation moves pixels off the
+k/255 grid.
 
 The worker is forked from the trainer: it inherits the training samples
 and an anonymous shared buffer of LOOKAHEAD slots, and needs nothing from
@@ -27,7 +29,7 @@ import traceback
 import numpy as np
 
 from .augment import augment_image
-from .numerics import Rng
+from .numerics import Rng, stack_images
 
 LOOKAHEAD = 2  # steps built ahead of the one training, one buffer slot each
 POLL_S = 1.0  # how often a wait for the worker checks that it still runs
@@ -175,7 +177,7 @@ def _serve(conn, trainer_end, samples, aug_cfg, buf, slot_shape):
         while True:
             slot, chosen, rng = conn.recv()
             try:
-                images = np.stack([samples[i].image for i in chosen])
+                images = stack_images([samples[i].image for i in chosen])
                 slots[slot, : len(chosen)] = augment_image(
                     images, aug_cfg, image_streams(rng, len(chosen))
                 )

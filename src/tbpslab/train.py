@@ -42,7 +42,7 @@ from . import losses, prefetch
 from .augment import AugmentConfig, augment_image, augment_text, tokenize
 from .losses import LossConfig, LossResult
 from .model import Model, backward_image, backward_text, encode_image, encode_text, module_of
-from .numerics import Rng, softmax_rows
+from .numerics import Rng, softmax_rows, stack_images
 from .prefetch import ViewWorker, image_streams
 
 LOG_TAU_MIN = math.log(0.01)  # the one temperature floor: tau stays >= 0.01
@@ -141,7 +141,7 @@ class AdamW:
 
 @dataclass
 class Batch:
-    images: np.ndarray  # (N, H, W, 3) originals
+    images: np.ndarray  # (N, H, W, 3) originals, as stored: uint8 unless a sample is off the grid
     images_aug: np.ndarray | None  # (N, H, W, 3) augmented views, if built
     tokens: list  # N token lists
     tokens_aug: list | None  # N augmented token lists, if built
@@ -182,7 +182,7 @@ def assemble_batch(
     if tokens is None:
         tokens = [tokenize(s.caption) for s in samples]
     want_img, want_txt = views_needed(loss_cfg)
-    images = np.stack([s.image for s in samples])
+    images = stack_images([s.image for s in samples])
     tokens_aug = None
     if not want_img:
         images_aug = None

@@ -32,7 +32,7 @@ from tbpslab.augment import (
     trivial_select,
 )
 from tbpslab.model import ModelConfig, encode_text, init_model
-from tbpslab.numerics import Rng
+from tbpslab.numerics import Rng, pixels
 
 H, W = 48, 24
 
@@ -324,6 +324,14 @@ class TestPipelines:
             b = augment_image(img[None], cfg, [Rng(7, 1)])
             assert np.array_equal(a, b)
             assert a.shape == (1, *img.shape)
+
+    @pytest.mark.parametrize("mode", ["pool", "stack", "trivial", "none"])
+    def test_uint8_stack_augments_as_its_pixels(self, mode, rng):
+        stored = rng.integers(0, 256, size=(4, H, W, 3)).astype(np.uint8)
+        cfg = AugmentConfig(image_mode=mode)
+        got = augment_image(stored, cfg, [Rng(7, i) for i in range(4)])
+        want = augment_image(pixels(stored), cfg, [Rng(7, i) for i in range(4)])
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     def test_image_none_is_identity(self, rng):
         img = toy_image(rng)

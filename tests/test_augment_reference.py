@@ -12,7 +12,7 @@ import augment_reference as ref
 from conftest import run_op
 from tbpslab.augment import IMAGE_OPS, AugmentConfig, augment_image
 from tbpslab.data import ToySpec, generate_toy
-from tbpslab.numerics import Rng
+from tbpslab.numerics import Rng, pixels
 from tbpslab.train import assemble_batch
 
 H, W = 48, 24
@@ -93,6 +93,6 @@ def test_assemble_batch_matches_reference(mode):
     samples = ds.train[:64]
     for seed in range(3):
         batch = assemble_batch(samples, cfg, Rng(seed))
-        want = [ref.augment_image(s.image, cfg, Rng(seed).child(i).named("image"))
+        want = [ref.augment_image(pixels(s.image), cfg, Rng(seed).child(i).named("image"))
                 for i, s in enumerate(samples)]
         assert batch.images_aug.tobytes() == np.stack(want).tobytes()

@@ -221,6 +221,20 @@ class TestExitCodes:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [{"h": 48.0}, {"h": 24, "w": 48}], ids=["float-h", "swapped"])
+    def test_record_off_the_header_raster_is_runtime_error(self, edit, tmp_path, capsys):
+        data = tmp_path / "corpus.jsonl"
+        assert main(["generate", *MICRO, "--out", str(data)]) == 0
+        lines = data.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec.update(edit)
+        lines[2] = json.dumps(rec)
+        data.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["train", *MICRO, "--data", str(data), "--outdir", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "ParseError: line 3: " in err and "header's raster is 48x24" in err
+
     def test_truncated_checkpoint_is_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", *MICRO, "--outdir", str(out)]) == 0

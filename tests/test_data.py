@@ -1,6 +1,9 @@
 """Corpus tests: identity uniqueness, split hygiene, the bag-of-words
 retrieval oracle, serialization round trips, and few-shot subsampling."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -23,9 +26,16 @@ from tbpslab.data import (
     oracle_rank1,
     save_jsonl,
 )
-from tbpslab.numerics import Rng
+from tbpslab.numerics import Rng, pixels
 
 TINY = ToySpec(n_identities=20, images_per_identity=2, captions_per_image=1)
+
+# SHA-256 of save_jsonl files recorded while the corpus still held float64
+# images: storing uint8 must not move a byte of the format
+PINNED_FILES = {
+    "on-grid": "43bac38b61806512682587619dca4d74cdfd99baee451af92dc25cd3cd2a9297",
+    "one-off-grid": "f22cf66a352408c466f2e96ba741e9430fc94e04d86bbe64442d92e03cf907a1",
+}
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +84,14 @@ class TestGeneration:
     def test_images_on_u8_grid(self, tiny):
         for s in tiny.train[:8]:
             assert s.image.shape == (48, 24, 3)
-            assert s.image.min() >= 0 and s.image.max() <= 1
-            scaled = s.image * 255.0
-            assert np.max(np.abs(scaled - np.round(scaled))) < 1e-9
+            assert s.image.dtype == np.uint8
+
+    def test_corpus_stores_one_byte_per_pixel_value(self):
+        ds = generate_toy(ToySpec(n_identities=20, images_per_identity=2, captions_per_image=2), Rng(5))
+        # the captions of one image share its array
+        distinct = {id(s.image): s.image for s in ds.train + ds.val + ds.test}
+        assert len(distinct) == 20 * 2
+        assert sum(image.nbytes for image in distinct.values()) == len(distinct) * 48 * 24 * 3
 
     def test_captions_carry_exactly_their_bag(self, tiny):
         for s in tiny.train + tiny.val + tiny.test:
@@ -109,7 +124,7 @@ class TestGeneration:
         # view, so individual pairs can come close)
         by_id = {}
         for s in tiny.train:
-            by_id.setdefault(s.identity, []).append(s.image)
+            by_id.setdefault(s.identity, []).append(pixels(s.image))
         keys = sorted(by_id)[:6]
         within, across = [], []
         for k in keys:
@@ -161,7 +176,7 @@ class TestSerialization:
 
     def test_off_grid_image_uses_f64(self, tiny, tmp_path):
         ds = generate_toy(ToySpec(n_identities=2, images_per_identity=1), Rng(3))
-        ds.train[0].image = ds.train[0].image + 1e-4  # push off the u8 grid
+        ds.train[0].image = pixels(ds.train[0].image) + 1e-4  # push off the u8 grid
         path = tmp_path / "toy.jsonl"
         save_jsonl(ds, path)
         text = path.read_text()
@@ -170,6 +185,34 @@ class TestSerialization:
         original = ds.split("train")[0]
         match = [s for s in back.train if np.array_equal(s.image, original.image)]
         assert match, "f64 image did not round-trip bit-exactly"
+        # one split holds both: the other caption of that image stays uint8
+        assert [s.image.dtype for s in back.train] == [np.float64, np.uint8]
+
+    @pytest.mark.parametrize("off_grid", [False, True], ids=["on-grid", "one-off-grid"])
+    def test_file_bytes_pinned(self, off_grid, tmp_path):
+        ds = generate_toy(ToySpec(n_identities=3, images_per_identity=1), Rng(3))
+        if off_grid:
+            ds.train[0].image = pixels(ds.train[0].image) + 1e-4
+        path = tmp_path / "toy.jsonl"
+        save_jsonl(ds, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == PINNED_FILES["one-off-grid" if off_grid else "on-grid"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"h": 48.0}, {"h": 24, "w": 48}, {"w": "24"}, {"w": True}],
+        ids=["float-h", "swapped", "string-w", "bool-w"],
+    )
+    def test_record_off_the_header_raster_rejected(self, edit, tiny, tmp_path):
+        path = tmp_path / "toy.jsonl"
+        save_jsonl(tiny, path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec.update(edit)
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 3: .*header's raster is 48x24"):
+            load_jsonl(path)
 
     def test_bad_json_reports_line(self, tiny, tmp_path):
         path = tmp_path / "toy.jsonl"
@@ -181,8 +224,6 @@ class TestSerialization:
             load_jsonl(path)
 
     def test_missing_field_reports_line(self, tiny, tmp_path):
-        import json
-
         path = tmp_path / "toy.jsonl"
         save_jsonl(tiny, path)
         lines = path.read_text().splitlines()
@@ -194,8 +235,6 @@ class TestSerialization:
             load_jsonl(path)
 
     def test_bad_split_rejected(self, tiny, tmp_path):
-        import json
-
         path = tmp_path / "toy.jsonl"
         save_jsonl(tiny, path)
         lines = path.read_text().splitlines()
@@ -208,7 +247,6 @@ class TestSerialization:
 
     def test_truncated_payload_rejected(self, tiny, tmp_path):
         import base64
-        import json
 
         path = tmp_path / "toy.jsonl"
         save_jsonl(tiny, path)

@@ -23,7 +23,7 @@ from tbpslab.evaluate import (
     unique_images,
 )
 from tbpslab.model import Model, ModelConfig, clone_model, image_chain, init_model, text_chain
-from tbpslab.numerics import Rng, ShapeMismatch
+from tbpslab.numerics import Rng, ShapeMismatch, pixels
 
 
 def reference_metrics(sim, query_ids, gallery_ids):
@@ -162,6 +162,21 @@ class TestGalleryAndModelEval:
         collided, collided_ids = unique_images(samples)
         assert collided.shape == gallery.shape and collided.tobytes() == gallery.tobytes()
         assert collided_ids.tolist() == ids.tolist()
+
+    def test_unique_images_of_a_mixed_split(self):
+        ds = generate_toy(ToySpec(n_identities=3, images_per_identity=1, captions_per_image=2), Rng(4))
+        samples = ds.train + ds.val + ds.test
+        stored = [s.image for s in samples[::2]]
+        gallery, _ = unique_images(samples)
+        assert gallery.dtype == np.uint8 and gallery.tobytes() == np.stack(stored).tobytes()
+        # a float64 copy of an image's pixels is that image; an off-grid one is not
+        samples[1].image = pixels(samples[1].image)
+        samples[3].image = pixels(samples[3].image) + 1e-4
+        gallery, ids = unique_images(samples)
+        assert gallery.dtype == np.float64 and len(ids) == 4
+        assert gallery.tobytes() == np.stack(
+            [pixels(stored[0]), pixels(stored[1]), samples[3].image, pixels(stored[2])]
+        ).tobytes()
 
     def test_unique_images_empty(self):
         with pytest.raises(EmptyGallery):

@@ -33,7 +33,7 @@ from tbpslab.model import (
     text_chain,
     text_from,
 )
-from tbpslab.numerics import Rng, ShapeMismatch, check_param_grads
+from tbpslab.numerics import Rng, ShapeMismatch, check_param_grads, pixels
 
 VOCAB = ("red", "blue", "shirt", "pants", "hat", "person")
 
@@ -205,6 +205,16 @@ class TestForward:
         m = init_model(SMALL, Rng(11))
         with pytest.raises(ValueError, match="empty"):
             encode_text(m, [["red"], []])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_uint8_images_encode_as_their_pixels(self, dtype, rng):
+        m = init_model(SMALL, Rng(11))
+        m.params = {k: v if k == "log_tau" else v.astype(dtype) for k, v in m.params.items()}
+        stored = rng.integers(0, 256, size=(3, 8, 8, 3)).astype(np.uint8)
+        za, ca = encode_image(m, stored)
+        zb, cb = encode_image(m, pixels(stored))
+        assert za.tobytes() == zb.tobytes()
+        assert ca.inputs.dtype == dtype and ca.inputs.tobytes() == cb.inputs.tobytes()
 
     def test_wrong_image_shape(self, rng):
         m = init_model(SMALL, Rng(11))

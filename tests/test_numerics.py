@@ -15,7 +15,9 @@ from tbpslab.numerics import (
     l2_normalize_rows_backward,
     log_softmax_rows,
     max_rel_error,
+    pixels,
     softmax_rows,
+    stack_images,
 )
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -210,3 +212,34 @@ class TestRng:
 
     def test_named_child_stream_pinned(self):
         assert Rng(42).child(5).named("image").stream == 11586013586514005863
+
+
+class TestPixels:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_uint8_level_is_k_over_255_in_the_dtype(self, dtype):
+        # float32 must equal the float64 quotient rounded once to float32,
+        # the value a float64 corpus cast to a float32 tower gives
+        levels = np.arange(256, dtype=np.uint8)
+        got = pixels(levels, dtype)
+        assert got.dtype == dtype
+        assert got.tobytes() == (np.arange(256) / 255.0).astype(dtype).tobytes()
+
+    def test_float_input_is_cast_into_a_new_array(self):
+        image = np.linspace(0.0, 1.0, 12).reshape(2, 2, 3)
+        got = pixels(image)
+        assert got.tobytes() == image.tobytes() and got is not image
+        got[0, 0, 0] = 5.0
+        assert image[0, 0, 0] == 0.0
+        assert pixels(image, np.float32).tobytes() == image.astype(np.float32).tobytes()
+
+    def test_uint8_stack_stays_uint8(self):
+        a, b = np.full((2, 2, 3), 200, np.uint8), np.zeros((2, 2, 3), np.uint8)
+        stack = stack_images([a, b])
+        assert stack.dtype == np.uint8 and stack.shape == (2, 2, 2, 3)
+
+    def test_mixed_stack_reads_uint8_as_k_over_255(self):
+        # a plain np.stack would upcast the 200 to 200.0
+        a, b = np.full((2, 2, 3), 200, np.uint8), np.full((2, 2, 3), 0.5)
+        stack = stack_images([a, b])
+        assert stack.dtype == np.float64
+        assert np.all(stack[0] == 200 / 255.0) and np.all(stack[1] == 0.5)

@@ -22,7 +22,7 @@ from tbpslab.config import materialize, resolve
 from tbpslab.data import Sample, ToySpec, build_vocab, generate_toy
 from tbpslab.losses import LossConfig
 from tbpslab.model import ModelConfig, init_model
-from tbpslab.numerics import Rng
+from tbpslab.numerics import Rng, pixels
 from tbpslab.prefetch import ViewWorker, WorkerDied
 from tbpslab.train import NonFiniteLoss, TrainConfig, assemble_batch, fit
 
@@ -182,7 +182,7 @@ def test_killed_worker_is_a_clear_error_not_a_hang(workers):
 
 def test_error_inside_the_worker_is_raised_with_its_type_and_message(workers, monkeypatch):
     samples = corpus()
-    bad = np.array(samples[3].image)
+    bad = pixels(samples[3].image)  # a uint8 image holds no NaN
     bad[0, 0, 0] = np.nan
     samples[3] = Sample(image=bad, caption=samples[3].caption, identity=samples[3].identity)
 

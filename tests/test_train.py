@@ -12,6 +12,7 @@ from tbpslab import train
 from tbpslab.augment import AugmentConfig, builtin_lexicon, eda, tokenize
 from tbpslab.config import materialize, resolve
 from tbpslab.data import ToySpec, build_vocab, generate_toy
+from tbpslab.evaluate import evaluate_model
 from tbpslab.experiments import build_dataset
 from tbpslab.losses import LossConfig
 from tbpslab.model import (
@@ -26,7 +27,7 @@ from tbpslab.model import (
     module_of,
     parameter_count,
 )
-from tbpslab.numerics import Rng, check_param_grads
+from tbpslab.numerics import Rng, check_param_grads, pixels
 from tbpslab.train import (
     AdamW,
     Batch,
@@ -190,7 +191,7 @@ class TestAssembleBatch:
     def test_no_aug_views_identical(self, rng):
         ds = tiny_corpus()
         batch = assemble_batch(ds.train[:3], NO_AUG, rng)
-        assert np.array_equal(batch.images, batch.images_aug)
+        assert np.array_equal(pixels(batch.images), batch.images_aug)
         assert batch.tokens == batch.tokens_aug
 
     def test_production_aug_changes_views(self):
@@ -521,6 +522,20 @@ class TestFit:
         fit(model, train_samples, self.LOSS, FULL_AUG, TrainConfig(epochs=3, batch_size=4), Rng(1))
         assert sorted(calls) == sorted(s.caption for s in train_samples)
 
+    def test_corpus_with_off_grid_images_trains_and_evaluates(self):
+        ds = tiny_corpus(n_ids=5, images=2)
+        for split in (ds.train, ds.test):
+            split[0].image = pixels(split[0].image) + 1e-4  # a float64 record among uint8 ones
+        batch = assemble_batch(ds.train[:3], NO_AUG, Rng(2))
+        # the uint8 images of a mixed batch are read as k/255, not as 0..255
+        assert batch.images.dtype == np.float64
+        assert batch.images[1:].tobytes() == pixels([s.image for s in ds.train[1:3]]).tobytes()
+        model, train_samples = self._model_for(ds)
+        loss = LossConfig(weights={"n_itc": 1.0, "ss_i": 0.3})  # the worker builds image views
+        out = fit(model, train_samples, loss, FULL_AUG, TrainConfig(epochs=1, batch_size=4), Rng(1))
+        assert all(np.isfinite(r["loss"]) for r in out.history)
+        assert 0 <= evaluate_model(model, ds.test).rank1 <= 1
+
     def test_too_few_samples(self):
         ds = tiny_corpus()
         model, _ = self._model_for(ds)
@@ -586,8 +601,10 @@ class TestPrecision:
         model.frozen.clear()  # every gradient path runs
         if copy:
             model = tower_copy(model)
-        # the batch's images and the worker's views arrive as float64
-        assert batch.images.dtype == batch.images_aug.dtype == np.float64
+        # the batch's images arrive as the corpus stores them, the worker's
+        # views as float64; either enters the tower as its pixels in `dtype`
+        assert batch.images.dtype == np.uint8
+        assert pixels(batch.images).dtype == batch.images_aug.dtype == np.float64
         grads = {}
         caches = []
         for images in (batch.images, batch.images_aug):
