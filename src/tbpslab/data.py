@@ -17,23 +17,27 @@ bag-of-words matcher over attribute words retrieves the right identity at
 rank 1 by exact-overlap argmax. That matcher is the corpus's correctness
 oracle; a trained encoder has to rediscover the same structure from pixels.
 
-Images are rendered on the uint8 grid and stored as the (H, W, 3) uint8
-arrays they are rendered as, one byte per value, where k means the pixel
-value k/255. They are read as numbers only where a tower or an
-augmentation reads them (`numerics.pixels`). A sample image may also be
-float64 in [0, 1], for a loaded record that is off the grid.
+Each split is two tables in generation order (`Split`): its distinct
+images with their identities, and its captions, each with its image's row
+and identity; a training example or a query is one caption with its image.
+Which captions share an image is decided once, by `SplitBuilder`, for
+`generate_toy` and `load_jsonl` alike. Images are stored as the uint8
+values they are rendered as, where k means the pixel value k/255, and read
+as numbers only where a tower or an augmentation reads them
+(`numerics.pixels`); a split's image table is float64 in [0, 1] instead
+when some loaded image is off the grid.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .augment import tokenize
-from .numerics import Rng
+from .numerics import Rng, pixels
 from .schema import load
 
 
@@ -105,13 +109,6 @@ class IdentityAttrs:
         )
 
 
-@dataclass
-class Sample:
-    image: np.ndarray  # (H, W, 3) uint8, k meaning k/255; float64 in [0, 1] when off the grid
-    caption: str
-    identity: int
-
-
 @dataclass(frozen=True)
 class ToySpec:
     n_identities: int = 200
@@ -140,19 +137,85 @@ class ToySpec:
             )
 
 
+SPLITS = ("train", "val", "test")
+
+
+@dataclass(frozen=True)
+class Split:
+    """One split as an image table and a caption table. Equal splits hold
+    equal tables: image dtypes and bytes, rows, captions and identities."""
+
+    images: np.ndarray  # (M, H, W, 3) uint8, k meaning k/255; float64 in [0, 1] when some image is off the grid
+    image_ids: np.ndarray  # (M,) int64 identity of each image
+    captions: tuple  # (N,) caption texts
+    image_of: np.ndarray  # (N,) int64 image row of each caption
+    ids: np.ndarray  # (N,) int64 identity of each caption
+
+    def __len__(self) -> int:
+        return len(self.captions)
+
+    def __eq__(self, other):
+        def tables(s):
+            arrays = (s.images, s.image_ids, s.image_of, s.ids)
+            return s.captions, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+        return isinstance(other, Split) and tables(self) == tables(other)
+
+    def take(self, rows) -> Split:
+        """The captions at `rows`, in that order, over the same image table."""
+        captions = tuple(self.captions[i] for i in rows)
+        return replace(self, captions=captions, image_of=self.image_of[rows], ids=self.ids[rows])
+
+
+def _as_stored(image: np.ndarray) -> np.ndarray:
+    """An image as a split stores it and a file writes it: uint8 when every
+    value is exactly some k/255, otherwise float64."""
+    if image.dtype == np.uint8:
+        return image
+    image = np.asarray(image, dtype=np.float64)
+    grid = np.round(image * 255)
+    on_grid = ((grid >= 0) & (grid <= 255)).all() and pixels(grid.astype(np.uint8)).tobytes() == image.tobytes()
+    return grid.astype(np.uint8) if on_grid else image
+
+
+class SplitBuilder:
+    """One split's tables, built from its captions in order: the one place
+    that decides which captions share an image. An image with exactly an
+    earlier image's pixel values is that image's row (a float64 copy of a
+    uint8 image's pixels is; an off-grid copy is not), and its identity."""
+
+    def __init__(self, spec: ToySpec):
+        self._empty = np.zeros((0, spec.height, spec.width, 3), dtype=np.uint8)
+        self._images = {}  # stored image bytes -> (image row, image, identity)
+        self._captions = []  # (caption, image row, identity)
+
+    def add(self, image: np.ndarray, caption: str, identity: int):
+        image = _as_stored(image)
+        row, _, owner = self._images.setdefault(image.tobytes(), (len(self._images), image, identity))
+        if owner != identity:
+            raise ValueError(f"the image of this identity-{identity} caption is identity {owner}'s")
+        self._captions.append((caption, row, identity))
+
+    def build(self) -> Split:
+        _, images, image_ids = zip(*self._images.values()) if self._images else ((), (), ())
+        if any(image.dtype != np.uint8 for image in images):
+            images = [pixels(image) for image in images]
+        captions, image_of, ids = zip(*self._captions) if self._captions else ((), (), ())
+        image_ids, image_of, ids = (np.array(v, dtype=np.int64) for v in (image_ids, image_of, ids))
+        return Split(np.stack(images) if images else self._empty, image_ids, captions, image_of, ids)
+
+
 @dataclass
 class ToyDataset:
     spec: ToySpec
     attrs: dict  # identity -> IdentityAttrs
-    train: list = field(default_factory=list)
-    val: list = field(default_factory=list)
-    test: list = field(default_factory=list)
+    train: Split
+    val: Split
+    test: Split
 
-    def split(self, name: str) -> list:
-        try:
-            return {"train": self.train, "val": self.val, "test": self.test}[name]
-        except KeyError:
-            raise KeyError(f"unknown split '{name}'") from None
+    def split(self, name: str) -> Split:
+        if name not in SPLITS:
+            raise KeyError(f"unknown split '{name}'")
+        return getattr(self, name)
 
 
 def _sample_identities(n: int, rng: Rng) -> list:
@@ -219,17 +282,16 @@ def generate_toy(spec: ToySpec, rng: Rng) -> ToyDataset:
     for pos, ident in enumerate(order):
         split_of[int(ident)] = "train" if pos < n_train else "val" if pos < n_train + n_val else "test"
 
-    ds = ToyDataset(spec=spec, attrs=attrs)
+    builders = {name: SplitBuilder(spec) for name in SPLITS}
     for ident in range(n):
         id_rng = rng.named(f"identity-{ident}")
-        bucket = ds.split(split_of[ident])
+        builder = builders[split_of[ident]]
         for j in range(spec.images_per_identity):
             img_rng = id_rng.child(j)
             image = _render(spec, attrs[ident], img_rng.named("render"))
             for c in range(spec.captions_per_image):
-                caption = _caption(attrs[ident], img_rng.named(f"caption-{c}"))
-                bucket.append(Sample(image=image, caption=caption, identity=ident))
-    return ds
+                builder.add(image, _caption(attrs[ident], img_rng.named(f"caption-{c}")), ident)
+    return ToyDataset(spec, attrs, **{name: b.build() for name, b in builders.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +302,17 @@ def caption_attribute_words(caption: str) -> frozenset:
     return frozenset(tokenize(caption)) & ATTRIBUTE_WORDS
 
 
-def oracle_rank1(samples, attrs) -> float:
+def oracle_rank1(split, attrs) -> float:
     """Bag-of-words retrieval over attribute words: each caption queries the
-    image list, scored by attribute-bag overlap with the image identity's
-    bag, ties broken by list order. Returns the fraction of queries whose
-    top image shares their identity. Unique bags make this 1.0 by design."""
-    if not samples:
-        raise ValueError("no samples")
-    gallery_words = [attrs[s.identity].words for s in samples]
-    hits = 0
-    for q in samples:
-        q_words = caption_attribute_words(q.caption)
-        scores = np.array([len(q_words & gw) for gw in gallery_words])
-        top = int(np.argmax(scores))  # first maximum: list-order tie break
-        hits += samples[top].identity == q.identity
-    return hits / len(samples)
+    split's image table, scored by attribute-bag overlap with the image
+    identity's bag, ties broken by row order. Returns the fraction of
+    queries whose top image shares their identity (1.0 by design)."""
+    if not len(split):
+        raise ValueError("no captions")
+    gallery = [attrs[i].words for i in split.image_ids.tolist()]
+    # first maximum: row-order tie break
+    top = [int(np.argmax([len(caption_attribute_words(c) & g) for g in gallery])) for c in split.captions]
+    return float(np.mean(split.image_ids[top] == split.ids))
 
 
 # ---------------------------------------------------------------------------
@@ -265,42 +323,41 @@ _REQUIRED_SAMPLE = ("split", "identity", "caption", "image_mode", "image_b64", "
 
 
 def _encode_image(image: np.ndarray) -> tuple:
-    """Compact uint8 encoding for a uint8 image or a float image whose every
-    pixel sits on the k/255 grid, otherwise raw float64 bytes."""
+    """`u8` bytes for an image on the k/255 grid, raw float64 bytes otherwise."""
+    image = _as_stored(image)
     if image.dtype == np.uint8:
         return "u8", base64.b64encode(image.tobytes()).decode("ascii")
-    scaled = image * 255.0
-    rounded = np.round(scaled)
-    if np.max(np.abs(scaled - rounded)) < 1e-9 and rounded.min() >= 0 and rounded.max() <= 255:
-        return "u8", base64.b64encode(rounded.astype(np.uint8).tobytes()).decode("ascii")
-    return "f64", base64.b64encode(np.ascontiguousarray(image, dtype="<f8").tobytes()).decode("ascii")
+    return "f64", base64.b64encode(image.astype("<f8").tobytes()).decode("ascii")
 
 
-def _decode_image(rec: dict, spec: ToySpec) -> np.ndarray:
-    """A record's image: uint8 from a `u8` payload, float64 from `f64`. Its
-    `h` and `w` must be the header's raster."""
+def _read_record(rec: dict, spec: ToySpec, attrs: dict) -> tuple:
+    """A record's (image, caption, identity): an identity the header's attrs
+    name, a string, and an image of the header's raster, uint8 from a `u8`
+    payload and float64 from `f64`."""
+    identity, caption = rec["identity"], rec["caption"]
+    # bool is an int subclass, and True is neither an identity nor a raster size
+    if type(identity) is not int or identity not in attrs:
+        raise ValueError(f"identity {identity!r} is not a key of the header's attrs")
+    if not isinstance(caption, str):
+        raise ValueError(f"caption {caption!r} is not a string")
     for key, want in (("h", spec.height), ("w", spec.width)):
-        # bool is an int subclass, and True is not a raster size
         if type(rec[key]) is not int or rec[key] != want:
             raise ValueError(
                 f"image {key} is {rec[key]!r}, but the header's raster is {spec.height}x{spec.width}"
             )
     raw = base64.b64decode(rec["image_b64"].encode("ascii"))
     mode = rec["image_mode"]
-    if mode == "u8":
-        arr = np.frombuffer(raw, dtype=np.uint8)
-    elif mode == "f64":
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    else:
+    if mode not in ("u8", "f64"):
         raise ValueError(f"unknown image mode '{mode}'")
+    arr = np.frombuffer(raw, dtype=np.uint8 if mode == "u8" else "<f8")
     expected = spec.height * spec.width * 3
     if arr.size != expected:
         raise ValueError(f"image payload has {arr.size} values, expected {expected}")
-    return arr.reshape(spec.height, spec.width, 3).copy()
+    return arr.reshape(spec.height, spec.width, 3), caption, identity
 
 
 def save_jsonl(dataset: ToyDataset, path):
-    """One JSON object per line: a header, then every sample."""
+    """One JSON object per line: a header, then every caption with its image."""
     header = {
         "kind": "toy-dataset",
         "spec": asdict(dataset.spec),
@@ -311,22 +368,19 @@ def save_jsonl(dataset: ToyDataset, path):
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for split in ("train", "val", "test"):
-            for s in dataset.split(split):
-                mode, blob = _encode_image(s.image)
-                rec = {
-                    "split": split,
-                    "identity": s.identity,
-                    "caption": s.caption,
-                    "image_mode": mode,
-                    "image_b64": blob,
-                    "h": s.image.shape[0],
-                    "w": s.image.shape[1],
-                }
+        for name in SPLITS:
+            split = dataset.split(name)
+            encoded = [_encode_image(image) for image in split.images]
+            for caption, row, identity in zip(split.captions, split.image_of.tolist(), split.ids.tolist()):
+                mode, blob = encoded[row]
+                rec = dict(split=name, identity=identity, caption=caption, image_mode=mode, image_b64=blob,
+                           h=dataset.spec.height, w=dataset.spec.width)
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def load_jsonl(path) -> ToyDataset:
+    """The corpus `save_jsonl` wrote, its splits built as `generate_toy`
+    builds them (`SplitBuilder`). A bad line raises ParseError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     if not lines:
@@ -345,11 +399,14 @@ def load_jsonl(path) -> ToyDataset:
     if header["kind"] != "toy-dataset":
         raise ParseError(f"line 1: unknown kind '{header['kind']}'")
     spec = load(ToySpec, header["spec"], "data")
-    attrs = {
-        int(i): IdentityAttrs(shirt_color=v[0], pants_color=v[1], accessory=v[2])
-        for i, v in header["attrs"].items()
-    }
-    ds = ToyDataset(spec=spec, attrs=attrs)
+    if not isinstance(header["attrs"], dict):
+        raise ParseError("line 1: header attrs is not an object")
+    for key, words in header["attrs"].items():
+        if not (key.isdecimal() and isinstance(words, list) and len(words) == 3
+                and all(isinstance(w, str) for w in words)):
+            raise ParseError(f"line 1: attrs {key!r}: {words!r} is not an identity's [shirt, pants, accessory]")
+    attrs = {int(key): IdentityAttrs(*words) for key, words in header["attrs"].items()}
+    builders = {name: SplitBuilder(spec) for name in SPLITS}
     for lineno, text in enumerate(lines[1:], start=2):
         if not text.strip():
             continue
@@ -358,39 +415,35 @@ def load_jsonl(path) -> ToyDataset:
             if key not in rec:
                 raise MissingField(f"line {lineno}: record missing '{key}'")
         try:
-            image = _decode_image(rec, spec)
+            if rec["split"] not in SPLITS:
+                raise ValueError(f"unknown split '{rec['split']}'")
+            builders[rec["split"]].add(*_read_record(rec, spec, attrs))
         except ValueError as e:
             raise ParseError(f"line {lineno}: {e}") from None
-        try:
-            bucket = ds.split(rec["split"])
-        except KeyError:
-            raise ParseError(f"line {lineno}: unknown split '{rec['split']}'") from None
-        bucket.append(Sample(image=image, caption=rec["caption"], identity=rec["identity"]))
-    return ds
+    return ToyDataset(spec, attrs, **{name: b.build() for name, b in builders.items()})
 
 
 # ---------------------------------------------------------------------------
 # helpers used by training and experiments
 
 
-def build_vocab(samples) -> tuple:
-    """Sorted unique tokens of the given captions. Train-split captions
+def build_vocab(split) -> tuple:
+    """Sorted unique tokens of a split's captions. Train-split captions
     only; unseen words map to the unknown bucket at encode time."""
     words = set()
-    for s in samples:
-        words.update(tokenize(s.caption))
+    for caption in split.captions:
+        words.update(tokenize(caption))
     return tuple(sorted(words))
 
 
-def few_shot(samples, fraction: float, rng: Rng) -> list:
-    """Identity-level subsample: keep a fraction of the identities, with
-    every sample of a kept identity. fraction 1.0 returns the full list."""
+def few_shot(split: Split, fraction: float, rng: Rng) -> Split:
+    """Identity-level subsample: the captions of a fraction of the
+    identities, over the same image table; fraction 1.0 is the split."""
     if not (0 < fraction <= 1):
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    ids = sorted({s.identity for s in samples})
     if fraction == 1.0:
-        return list(samples)
+        return split
+    ids = np.unique(split.ids)
     keep_n = max(1, int(np.floor(fraction * len(ids) + 0.5)))
     order = rng.permutation(len(ids))
-    kept = {ids[i] for i in order[:keep_n]}
-    return [s for s in samples if s.identity in kept]
+    return split.take(np.flatnonzero(np.isin(split.ids, ids[order[:keep_n]])))

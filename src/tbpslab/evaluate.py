@@ -1,7 +1,7 @@
 """Text-to-image retrieval metrics.
 
-Queries are captions, the gallery is the deduplicated image set, and a
-gallery item is relevant to a query when their identities match. Scores
+Queries are a split's captions, the gallery is its images (`unique_images`),
+and a gallery item is relevant to a query when their identities match. Scores
 are cosine similarities (embeddings arrive L2-normalized, so a plain dot
 product). Conventions, also printed in every report header:
 
@@ -16,7 +16,6 @@ product). Conventions, also printed in every report header:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ from .model import (
     text_chain,
     text_from,
 )
-from .numerics import ShapeMismatch, stack_images
+from .numerics import ShapeMismatch
 
 
 class EmptyGallery(ValueError):
@@ -139,60 +138,34 @@ def rank1_rate(sim: np.ndarray, query_ids, gallery_ids) -> float:
     return int(np.count_nonzero(gallery_ids[top] == query_ids)) / len(query_ids)
 
 
-def _pixel_digest(image: np.ndarray) -> bytes:
-    return hashlib.sha256(image.tobytes()).digest()
+def unique_images(split) -> tuple:
+    """The gallery of a split and its identities: the image rows its
+    captions reference, once each, in first-occurrence order (all of them,
+    in order, unless the split was taken from another: `Split.take`)."""
+    if not len(split):
+        raise EmptyGallery("no captions")
+    _, first = np.unique(split.image_of, return_index=True)
+    rows = split.image_of[np.sort(first)]
+    return split.images[rows], split.image_ids[rows]
 
 
-def unique_images(samples) -> tuple:
-    """Deduplicated image stack and identity array. Samples that share an
-    image (several captions of one photo) collapse to one gallery item;
-    duplicates are detected by exact pixel bytes, looked up by their
-    digest. The images are stacked as a training batch is
-    (`numerics.stack_images`): uint8 unless some image is off the grid."""
-    if not samples:
-        raise EmptyGallery("no samples")
-    stack = stack_images([s.image for s in samples])
-    keep, ids, seen = [], [], {}
-    for i, s in enumerate(samples):
-        candidates = seen.setdefault(_pixel_digest(stack[i]), [])
-        if any(stack[j].tobytes() == stack[i].tobytes() for j in candidates):
-            continue
-        candidates.append(i)
-        keep.append(i)
-        ids.append(s.identity)
-    return stack[keep], np.array(ids, dtype=np.int64)
+def prepare_split(split) -> tuple:
+    """(gallery, gallery identities, query tokens, query identities) of a split."""
+    return (*unique_images(split), [tokenize(c) for c in split.captions], split.ids)
 
 
-@dataclass(frozen=True)
-class Split:
-    """One split as retrieval sees it: the deduplicated image gallery and
-    its identities, and the tokenized captions that query it."""
-
-    gallery: np.ndarray
-    gallery_ids: np.ndarray
-    tokens: list
-    query_ids: np.ndarray
-
-
-def prepare_split(samples) -> Split:
-    gallery, gallery_ids = unique_images(samples)
-    tokens = [tokenize(s.caption) for s in samples]
-    query_ids = np.array([s.identity for s in samples], dtype=np.int64)
-    return Split(gallery, gallery_ids, tokens, query_ids)
-
-
-def evaluate_model(model: Model, samples) -> RetrievalReport:
+def evaluate_model(model: Model, split) -> RetrievalReport:
     """Caption-to-image retrieval over one split: every caption queries the
-    deduplicated image gallery."""
-    split = prepare_split(samples)
-    g_embed = encode_image(model, split.gallery)[0]  # its cache goes before the text tower runs
-    q_embed = encode_text(model, split.tokens)[0]
-    return retrieval_metrics(q_embed @ g_embed.T, split.query_ids, split.gallery_ids)
+    split's image gallery."""
+    gallery, gallery_ids, tokens, query_ids = prepare_split(split)
+    g_embed = encode_image(model, gallery)[0]  # its cache goes before the text tower runs
+    q_embed = encode_text(model, tokens)[0]
+    return retrieval_metrics(q_embed @ g_embed.T, query_ids, gallery_ids)
 
 
-def rank1_scorer(reference: Model, samples):
-    """A function mapping a model to its Rank-1 on `samples`, equal to
-    `evaluate_model(model, samples).rank1`.
+def rank1_scorer(reference: Model, split):
+    """A function mapping a model to its Rank-1 on `split`, equal to
+    `evaluate_model(model, split).rank1`.
 
     The split is prepared and both towers of `reference` are encoded once,
     keeping every activation of the two passes. A probe with the
@@ -204,13 +177,13 @@ def rank1_scorer(reference: Model, samples):
     later edits to it cannot stale them.
     """
     reference = clone_model(reference)
-    split = prepare_split(samples)
-    orphans = np.flatnonzero(~np.isin(split.query_ids, split.gallery_ids))
+    gallery, gallery_ids, tokens, query_ids = prepare_split(split)
+    orphans = np.flatnonzero(~np.isin(query_ids, gallery_ids))
     if len(orphans):
         qi = int(orphans[0])
-        raise NoPositive(f"query {qi} (identity {split.query_ids[qi]}) has no relevant gallery item")
-    ref_g, g_cache = encode_image(reference, split.gallery)
-    ref_q, q_cache = encode_text(reference, split.tokens)
+        raise NoPositive(f"query {qi} (identity {query_ids[qi]}) has no relevant gallery item")
+    ref_g, g_cache = encode_image(reference, gallery)
+    ref_q, q_cache = encode_text(reference, tokens)
     chains = {
         tower: [reference.module_keys(m) for m in chain]
         for tower, chain in (("img", image_chain(reference.config)), ("txt", text_chain(reference.config)))
@@ -226,13 +199,13 @@ def rank1_scorer(reference: Model, samples):
 
     def score(model: Model) -> float:
         if model.config != reference.config or model.params.keys() != reference.params.keys():
-            g_embed = encode_image(model, split.gallery)[0]
-            q_embed = encode_text(model, split.tokens)[0]
+            g_embed = encode_image(model, gallery)[0]
+            q_embed = encode_text(model, tokens)[0]
         else:
             start = first_change(model, "img")
             g_embed = ref_g if start is None else image_from(model, g_cache, start)[0]
             start = first_change(model, "txt")
             q_embed = ref_q if start is None else text_from(model, q_cache, start)[0]
-        return rank1_rate(q_embed @ g_embed.T, split.query_ids, split.gallery_ids)
+        return rank1_rate(q_embed @ g_embed.T, query_ids, gallery_ids)
 
     return score

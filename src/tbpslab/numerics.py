@@ -60,15 +60,6 @@ def pixels(images, dtype=np.float64) -> np.ndarray:
     return out
 
 
-def stack_images(images) -> np.ndarray:
-    """One (B, H, W, 3) stack of sample images: uint8 when every image is
-    uint8, otherwise the float64 `pixels` of each image. A plain
-    `np.stack` of a mixed list would read uint8 k as k, not k/255."""
-    if all(image.dtype == np.uint8 for image in images):
-        return np.stack(images)
-    return np.stack([pixels(image) for image in images])
-
-
 def l2_normalize_rows(m) -> np.ndarray:
     """Row-wise L2 normalization of an (N x d) matrix."""
     mat = _as_float_array(m, "m", 2)

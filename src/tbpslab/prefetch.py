@@ -2,15 +2,15 @@
 
 While step k trains, one worker process builds the augmented image views
 of steps k+1 .. k+LOOKAHEAD. It derives each sample's stream as
-`train.assemble_batch` does (`image_streams`), stacks the samples' stored
-uint8 images the same way (`numerics.stack_images`) and calls the same
+`train.assemble_batch` does (`image_streams`), picks the captions' images
+from the split's image table by row the same way and calls the same
 `augment.augment_image`, so its views are byte-identical to the ones built
 in process. The views are float64: augmentation moves pixels off the
 k/255 grid.
 
-The worker is forked from the trainer: it inherits the training samples
-and an anonymous shared buffer of LOOKAHEAD slots, and needs nothing from
-the caller's `__main__`, so it works from unguarded scripts and scripts
+The worker is forked from the trainer: it inherits the training split's
+tables and an anonymous shared buffer of LOOKAHEAD slots, and needs nothing
+from the caller's `__main__`, so it works from unguarded scripts and scripts
 read from stdin. Per step the trainer sends (slot, indices, rng) and the
 worker answers with the slot number once the views are written to that
 slot. The trainer copies the views out before it hands the slot to a
@@ -29,7 +29,7 @@ import traceback
 import numpy as np
 
 from .augment import augment_image
-from .numerics import Rng, stack_images
+from .numerics import Rng
 
 LOOKAHEAD = 2  # steps built ahead of the one training, one buffer slot each
 POLL_S = 1.0  # how often a wait for the worker checks that it still runs
@@ -66,12 +66,12 @@ def available() -> bool:
 class ViewWorker:
     """Builds the augmented image views of a run's batches in a worker.
 
-    `batches` lists, per step, the indices into `samples` of the step's
-    samples and the batch rng. Each `take` returns the next step's
+    `batches` lists, per step, the caption rows of `split` that the step
+    trains on and the batch rng. Each `take` returns the next step's
     (n, H, W, 3) views. Use it as a context manager, or call `close`.
     """
 
-    def __init__(self, samples, aug_cfg, batches):
+    def __init__(self, split, aug_cfg, batches):
         # imported here: runs that build no image view do not pay for it
         import multiprocessing
 
@@ -79,13 +79,13 @@ class ViewWorker:
         self._batches = batches
         self._next = 0
         capacity = max(len(chosen) for chosen, _ in batches)
-        self._slot_shape = (capacity, *np.shape(samples[0].image))
+        self._slot_shape = (capacity, *split.images.shape[1:])
         # anonymous and shared: the forked worker writes what the trainer reads
         self._buf = mmap.mmap(-1, LOOKAHEAD * 8 * int(np.prod(self._slot_shape)))
         self._conn, theirs = ctx.Pipe()
         self._proc = ctx.Process(
             target=_serve,
-            args=(theirs, self._conn, samples, aug_cfg, self._buf, self._slot_shape),
+            args=(theirs, self._conn, split, aug_cfg, self._buf, self._slot_shape),
             name="tbpslab-views",
             daemon=True,
         )
@@ -168,7 +168,7 @@ def _join(proc) -> int:
     return proc.exitcode
 
 
-def _serve(conn, trainer_end, samples, aug_cfg, buf, slot_shape):
+def _serve(conn, trainer_end, split, aug_cfg, buf, slot_shape):
     """The worker: build each requested step's views into its slot."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the trainer stops it
     trainer_end.close()  # the fork's copy; kept open, the stop signal would never arrive
@@ -177,9 +177,8 @@ def _serve(conn, trainer_end, samples, aug_cfg, buf, slot_shape):
         while True:
             slot, chosen, rng = conn.recv()
             try:
-                images = stack_images([samples[i].image for i in chosen])
                 slots[slot, : len(chosen)] = augment_image(
-                    images, aug_cfg, image_streams(rng, len(chosen))
+                    split.images[split.image_of[chosen]], aug_cfg, image_streams(rng, len(chosen))
                 )
                 reply = (slot, None, None)
             except Exception as exc:  # raised again in the trainer

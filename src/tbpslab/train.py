@@ -42,7 +42,7 @@ from . import losses, prefetch
 from .augment import AugmentConfig, augment_image, augment_text, tokenize
 from .losses import LossConfig, LossResult
 from .model import Model, backward_image, backward_text, encode_image, encode_text, module_of
-from .numerics import Rng, softmax_rows, stack_images
+from .numerics import Rng, softmax_rows
 from .prefetch import ViewWorker, image_streams
 
 LOG_TAU_MIN = math.log(0.01)  # the one temperature floor: tau stays >= 0.01
@@ -141,7 +141,7 @@ class AdamW:
 
 @dataclass
 class Batch:
-    images: np.ndarray  # (N, H, W, 3) originals, as stored: uint8 unless a sample is off the grid
+    images: np.ndarray  # (N, H, W, 3) originals, as the split stores them (`data.Split`)
     images_aug: np.ndarray | None  # (N, H, W, 3) augmented views, if built
     tokens: list  # N token lists
     tokens_aug: list | None  # N augmented token lists, if built
@@ -159,35 +159,31 @@ def views_needed(loss_cfg: LossConfig | None) -> tuple:
 
 
 def assemble_batch(
-    samples,
-    aug_cfg: AugmentConfig,
-    rng: Rng,
-    loss_cfg: LossConfig | None = None,
-    tokens=None,
+    split, rows, aug_cfg: AugmentConfig, rng: Rng, loss_cfg: LossConfig | None = None, tokens=None,
     images_aug=None,
 ) -> Batch:
-    """Augmented views for one batch.
+    """The batch of the captions at `rows` of `split`, with augmented views.
 
     Sample i draws from `rng.child(i)`, its image view from the child's
     "image" stream and its text view from the "text" stream, so a view
     does not depend on the rest of the batch. Only the views that
     `loss_cfg`'s active terms consume are built; the others are None.
     Without a loss config both views are built. `tokens`, when given,
-    are the samples' captions already tokenized; `images_aug`, when given,
-    are the image views already built from the same streams
+    are the captions already tokenized; `images_aug`, when given, are the
+    image views already built from the same streams
     (`prefetch.ViewWorker`).
     """
-    if len(samples) < 2:
-        raise BatchTooSmall(f"need at least 2 samples, got {len(samples)}")
+    if len(rows) < 2:
+        raise BatchTooSmall(f"need at least 2 samples, got {len(rows)}")
     if tokens is None:
-        tokens = [tokenize(s.caption) for s in samples]
+        tokens = [tokenize(split.captions[i]) for i in rows]
     want_img, want_txt = views_needed(loss_cfg)
-    images = stack_images([s.image for s in samples])
+    images = split.images[split.image_of[rows]]
     tokens_aug = None
     if not want_img:
         images_aug = None
     elif images_aug is None:
-        images_aug = augment_image(images, aug_cfg, image_streams(rng, len(samples)))
+        images_aug = augment_image(images, aug_cfg, image_streams(rng, len(rows)))
     if want_txt:
         tokens_aug = [
             augment_text(toks, aug_cfg, rng.child(i).named("text")) for i, toks in enumerate(tokens)
@@ -197,7 +193,7 @@ def assemble_batch(
         images_aug=images_aug,
         tokens=list(tokens),
         tokens_aug=tokens_aug,
-        ids=np.array([s.identity for s in samples], dtype=np.int64),
+        ids=split.ids[rows],
     )
 
 
@@ -381,28 +377,22 @@ def _epoch_batches(n_samples: int, batch_size: int) -> int:
 
 
 def fit(
-    model: Model,
-    samples,
-    loss_cfg: LossConfig,
-    aug_cfg: AugmentConfig,
-    tcfg: TrainConfig,
-    rng: Rng,
-    on_step=None,
+    model: Model, split, loss_cfg: LossConfig, aug_cfg: AugmentConfig, tcfg: TrainConfig, rng: Rng, on_step=None
 ) -> FitResult:
-    """Train in place over identity-labelled samples.
+    """Train in place over a split's identity-labelled captions.
 
     Epoch order, augmentation, and dropout all derive from named child
     streams of `rng`, so one seed fixes the whole run. A trailing partial
-    batch is kept when it still holds two samples and dropped otherwise.
+    batch is kept when it still holds two captions and dropped otherwise.
     When the active terms read augmented image views, a worker process
     builds the views of the next steps while one trains
     (`prefetch.ViewWorker`); the views and the run are byte-identical to
     building them in process. The worker is stopped before `fit` returns
     or raises.
     """
-    if len(samples) < 2:
-        raise BatchTooSmall(f"need at least 2 training samples, got {len(samples)}")
-    steps_per_epoch = _epoch_batches(len(samples), tcfg.batch_size)
+    if len(split) < 2:
+        raise BatchTooSmall(f"need at least 2 training samples, got {len(split)}")
+    steps_per_epoch = _epoch_batches(len(split), tcfg.batch_size)
     schedule = Schedule(
         total_steps=tcfg.epochs * steps_per_epoch,
         lr_init=tcfg.lr_init,
@@ -411,27 +401,23 @@ def fit(
         warmup_frac=tcfg.warmup_frac,
     )
     optimizer = AdamW(weight_decay=tcfg.weight_decay)
-    # (epoch, index in epoch, sample indices, augmentation stream) per step
+    # (epoch, index in epoch, caption rows, augmentation stream) per step
     plan = []
     for epoch in range(tcfg.epochs):
-        order = rng.named(f"shuffle-{epoch}").permutation(len(samples))
+        order = rng.named(f"shuffle-{epoch}").permutation(len(split))
         for bi in range(steps_per_epoch):
             chosen = order[bi * tcfg.batch_size : (bi + 1) * tcfg.batch_size]
             plan.append((epoch, bi, chosen, rng.named(f"aug-{epoch}-{bi}")))
-    captions = [tokenize(s.caption) for s in samples]
+    captions = [tokenize(c) for c in split.captions]
     history = []
     ahead = views_needed(loss_cfg)[0] and aug_cfg.image_mode != "none" and prefetch.available()
     with (
-        ViewWorker(samples, aug_cfg, [(chosen, aug_rng) for _, _, chosen, aug_rng in plan])
+        ViewWorker(split, aug_cfg, [(chosen, aug_rng) for _, _, chosen, aug_rng in plan])
         if ahead else nullcontext()
     ) as worker:
         for step, (epoch, bi, chosen, aug_rng) in enumerate(plan):
             batch = assemble_batch(
-                [samples[i] for i in chosen],
-                aug_cfg,
-                aug_rng,
-                loss_cfg=loss_cfg,
-                tokens=[captions[i] for i in chosen],
+                split, chosen, aug_cfg, aug_rng, loss_cfg=loss_cfg, tokens=[captions[i] for i in chosen],
                 images_aug=None if worker is None else worker.take(),
             )
             lr = schedule.lr_at(step)

@@ -14,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from tbpslab.analyze import interpolate
 from tbpslab.augment import IMAGE_OPS, BadParam, _check_stack
+from tbpslab.data import SplitBuilder
 from tbpslab.losses import build_labels
 from tbpslab.numerics import Rng, l2_normalize_rows
 
@@ -40,6 +41,16 @@ def scan_c2(init, trained, module: str, evaluate, eps: float = 0.03, baseline=No
         if baseline - evaluate(interpolate(init, trained, module, k / 100)) < eps:
             return k / 100
     raise AssertionError("alpha = 1 must satisfy the band")
+
+
+def rebuilt(spec, split, images=None):
+    """`split` built again by `SplitBuilder` from its captions in order,
+    caption i taking `images[i]` in place of its image where given."""
+    images = images or {}
+    builder = SplitBuilder(spec)
+    for i, (caption, row, identity) in enumerate(zip(split.captions, split.image_of, split.ids.tolist())):
+        builder.add(images.get(i, split.images[row]), caption, identity)
+    return builder.build()
 
 
 def random_raw_pair(rng: Rng, n: int, d: int, repeat_ids: bool = True):

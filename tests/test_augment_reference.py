@@ -90,9 +90,9 @@ def test_single_image_ops_match_reference(name):
 def test_assemble_batch_matches_reference(mode):
     cfg = CONFIGS[mode]
     ds = generate_toy(ToySpec(n_identities=40, images_per_identity=2), Rng(5))
-    samples = ds.train[:64]
+    images = ds.train.images[ds.train.image_of[:64]]
     for seed in range(3):
-        batch = assemble_batch(samples, cfg, Rng(seed))
-        want = [ref.augment_image(pixels(s.image), cfg, Rng(seed).child(i).named("image"))
-                for i, s in enumerate(samples)]
+        batch = assemble_batch(ds.train, range(64), cfg, Rng(seed))
+        want = [ref.augment_image(pixels(image), cfg, Rng(seed).child(i).named("image"))
+                for i, image in enumerate(images)]
         assert batch.images_aug.tobytes() == np.stack(want).tobytes()

@@ -235,6 +235,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ParseError: line 3: " in err and "header's raster is 48x24" in err
 
+    @pytest.mark.parametrize(
+        "line, edit, message",
+        [
+            (2, {"identity": 99}, "identity 99 is not a key of the header's attrs"),
+            (2, {"identity": "3"}, "identity '3' is not a key of the header's attrs"),
+            (2, {"caption": 5}, "caption 5 is not a string"),
+            (1, {"attrs": {"0": ["red", "blue"]}}, "attrs '0': ['red', 'blue'] is not an identity's"),
+        ],
+        ids=["unknown-identity", "string-identity", "int-caption", "two-word-attrs"],
+    )
+    def test_record_the_header_does_not_name_is_runtime_error(self, line, edit, message, tmp_path, capsys):
+        data = tmp_path / "corpus.jsonl"
+        assert main(["generate", *MICRO, "--out", str(data)]) == 0
+        lines = data.read_text().splitlines()
+        rec = json.loads(lines[line - 1])
+        if "attrs" in edit:
+            rec["attrs"].update(edit["attrs"])
+        else:
+            rec.update(edit)
+        lines[line - 1] = json.dumps(rec)
+        data.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["train", *MICRO, "--data", str(data), "--outdir", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"ParseError: line {line}: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_truncated_checkpoint_is_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", *MICRO, "--outdir", str(out)]) == 0

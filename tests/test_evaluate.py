@@ -23,7 +23,16 @@ from tbpslab.evaluate import (
     unique_images,
 )
 from tbpslab.model import Model, ModelConfig, clone_model, image_chain, init_model, text_chain
-from tbpslab.numerics import Rng, ShapeMismatch, pixels
+from tbpslab.numerics import Rng, ShapeMismatch
+
+
+# evaluate_model's report of a 2-epoch clip-baseline run at seed 0 on a
+# corpus rendered without noise, jitter or shift, recorded when the gallery
+# was deduplicated by hashing each sample's pixels at evaluation time
+NOISE_FREE_REPORT = {
+    "rank1": 0.09583333333333334, "rank5": 0.23333333333333334, "rank10": 0.44583333333333336,
+    "mAP": 0.2152661252235784, "mINP": 0.22814029503154426, "n_queries": 240, "n_gallery": 116,
+}
 
 
 def reference_metrics(sim, query_ids, gallery_ids):
@@ -149,52 +158,55 @@ class TestChanceLevel:
 
 
 class TestGalleryAndModelEval:
-    def test_unique_images_dedupes(self, monkeypatch):
+    def test_unique_images_is_the_image_table(self):
+        # which captions share an image is decided where the split is built
+        # (tests/test_data.py); the gallery of a split as built is its table
         ds = generate_toy(ToySpec(n_identities=6, images_per_identity=2, captions_per_image=2), Rng(4))
-        samples = ds.train + ds.val + ds.test
-        gallery, ids = unique_images(samples)
-        assert len(samples) == 6 * 2 * 2
-        assert gallery.shape[0] == 6 * 2  # captions share their image
-        assert len(ids) == gallery.shape[0]
-        # distinct images whose digests collide stay distinct: a digest hit
-        # is confirmed on the pixel bytes
-        monkeypatch.setattr(evaluate, "_pixel_digest", lambda image: b"one digest for every image")
-        collided, collided_ids = unique_images(samples)
-        assert collided.shape == gallery.shape and collided.tobytes() == gallery.tobytes()
-        assert collided_ids.tolist() == ids.tolist()
+        for split in (ds.train, ds.val, ds.test):
+            gallery, ids = unique_images(split)
+            assert gallery.tobytes() == split.images.tobytes() and gallery.dtype == split.images.dtype
+            assert ids.tolist() == split.image_ids.tolist()
 
-    def test_unique_images_of_a_mixed_split(self):
-        ds = generate_toy(ToySpec(n_identities=3, images_per_identity=1, captions_per_image=2), Rng(4))
-        samples = ds.train + ds.val + ds.test
-        stored = [s.image for s in samples[::2]]
-        gallery, _ = unique_images(samples)
-        assert gallery.dtype == np.uint8 and gallery.tobytes() == np.stack(stored).tobytes()
-        # a float64 copy of an image's pixels is that image; an off-grid one is not
-        samples[1].image = pixels(samples[1].image)
-        samples[3].image = pixels(samples[3].image) + 1e-4
-        gallery, ids = unique_images(samples)
-        assert gallery.dtype == np.float64 and len(ids) == 4
-        assert gallery.tobytes() == np.stack(
-            [pixels(stored[0]), pixels(stored[1]), samples[3].image, pixels(stored[2])]
-        ).tobytes()
+    def test_unique_images_of_a_taken_split(self):
+        # the rows the captions reference, once each, in first-occurrence order
+        ds = generate_toy(ToySpec(n_identities=6, images_per_identity=2, captions_per_image=2), Rng(4))
+        part = ds.train.take([5, 0, 4, 1, 5])
+        assert part.image_of.tolist() == [2, 0, 2, 0, 2]
+        gallery, ids = unique_images(part)
+        assert gallery.tobytes() == ds.train.images[[2, 0]].tobytes()
+        assert ids.tolist() == ds.train.image_ids[[2, 0]].tolist()
 
     def test_unique_images_empty(self):
+        ds = generate_toy(ToySpec(n_identities=3, images_per_identity=1), Rng(4))
         with pytest.raises(EmptyGallery):
-            unique_images([])
+            unique_images(ds.train.take([]))
+
+    def test_gallery_holds_each_distinct_render_once(self):
+        # with noise, jitter and shift off, an identity's renders differ only
+        # in the background shade, and 4 of the 120 test renders repeat one
+        # of the same identity: the gallery holds 116 images. The report was
+        # recorded when the gallery was deduplicated at evaluation time.
+        exp = materialize(resolve(preset="clip-baseline", overrides=[
+            "data.pixel_noise=0", "data.color_jitter=0", "data.max_shift=0", "train.epochs=2",
+        ]))
+        run = experiments.run_training(exp)
+        test = run.dataset.test
+        assert len(test) == 240 and len(unique_images(test)[0]) == 116
+        assert run.report.as_dict() == NOISE_FREE_REPORT
 
     def test_untrained_model_runs(self):
         ds = generate_toy(ToySpec(n_identities=8, images_per_identity=2), Rng(4))
-        samples = ds.train
+        split = ds.train
         from tbpslab.data import build_vocab
 
-        cfg = ModelConfig(vocab=build_vocab(samples), hidden_dim=16, embed_dim=8)
+        cfg = ModelConfig(vocab=build_vocab(split), hidden_dim=16, embed_dim=8)
         model = init_model(cfg, Rng(9))
-        rep = evaluate_model(model, samples)
+        rep = evaluate_model(model, split)
         assert isinstance(rep, RetrievalReport)
         assert 0 <= rep.rank1 <= rep.rank5 <= rep.rank10 <= 1
         assert 0 <= rep.mean_ap <= 1
         assert 0 <= rep.mean_inp <= 1
-        assert rep.n_queries == len(samples)
+        assert rep.n_queries == len(split)
 
     def test_report_lines_mention_conventions(self):
         rep = RetrievalReport(1, 1, 1, 1, 1, 4, 4)
@@ -339,7 +351,11 @@ class TestRank1Scorer:
         assert unchanged > 4 if overrides else unchanged == 4
 
     def test_rejects_a_query_without_a_positive(self, pinning_run):
-        run = pinning_run
-        orphan = replace(run.dataset.val[0], identity=-1)
+        # a split built by hand, whose last caption's identity is not its image's
+        val = pinning_run.dataset.val
+        orphan = replace(
+            val, captions=(*val.captions, val.captions[0]), image_of=np.append(val.image_of, val.image_of[0]),
+            ids=np.append(val.ids, -1),
+        )
         with pytest.raises(NoPositive, match="identity -1"):
-            rank1_scorer(run.model, [*run.dataset.val, orphan])
+            rank1_scorer(pinning_run.model, orphan)

@@ -17,7 +17,6 @@ from tbpslab.numerics import (
     max_rel_error,
     pixels,
     softmax_rows,
-    stack_images,
 )
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -231,15 +230,3 @@ class TestPixels:
         got[0, 0, 0] = 5.0
         assert image[0, 0, 0] == 0.0
         assert pixels(image, np.float32).tobytes() == image.astype(np.float32).tobytes()
-
-    def test_uint8_stack_stays_uint8(self):
-        a, b = np.full((2, 2, 3), 200, np.uint8), np.zeros((2, 2, 3), np.uint8)
-        stack = stack_images([a, b])
-        assert stack.dtype == np.uint8 and stack.shape == (2, 2, 2, 3)
-
-    def test_mixed_stack_reads_uint8_as_k_over_255(self):
-        # a plain np.stack would upcast the 200 to 200.0
-        a, b = np.full((2, 2, 3), 200, np.uint8), np.full((2, 2, 3), 0.5)
-        stack = stack_images([a, b])
-        assert stack.dtype == np.float64
-        assert np.all(stack[0] == 200 / 255.0) and np.all(stack[1] == 0.5)

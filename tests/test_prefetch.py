@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import rebuilt
 
 from tbpslab import experiments, prefetch, train
 from tbpslab.augment import AugmentConfig
 from tbpslab.config import materialize, resolve
-from tbpslab.data import Sample, ToySpec, build_vocab, generate_toy
+from tbpslab.data import ToySpec, build_vocab, generate_toy
 from tbpslab.losses import LossConfig
 from tbpslab.model import ModelConfig, init_model
 from tbpslab.numerics import Rng, pixels
@@ -41,14 +42,14 @@ def corpus(n_ids=6):
     return generate_toy(ToySpec(n_identities=n_ids, images_per_identity=2), Rng(31)).train
 
 
-def tiny_model(samples):
+def tiny_model(split):
     cfg = ModelConfig(embed_dim=6, hidden_dim=12, image_layers=2, text_layers=2)
-    return init_model(dataclasses.replace(cfg, vocab=build_vocab(samples)), Rng(11))
+    return init_model(dataclasses.replace(cfg, vocab=build_vocab(split)), Rng(11))
 
 
-def fit_reading_views(samples, epochs=2, on_step=None):
+def fit_reading_views(split, epochs=2, on_step=None):
     """A small run whose loss reads augmented image views, so it starts a worker."""
-    return fit(tiny_model(samples), samples, READS_IMAGE_VIEWS, FULL_AUG,
+    return fit(tiny_model(split), split, READS_IMAGE_VIEWS, FULL_AUG,
                TrainConfig(epochs=epochs, batch_size=4), Rng(1), on_step=on_step)
 
 
@@ -78,16 +79,16 @@ def assert_released(workers):
 
 @pytest.mark.parametrize("mode", ["pool", "stack", "trivial"])
 def test_views_equal_assemble_batch(mode):
-    samples = corpus()
+    split = corpus()
     cfg = AugmentConfig(image_mode=mode)
     batches = []  # three epochs of 6, 6, 4: every slot reused, a short batch fills a prefix
     for epoch in range(3):
-        order = Rng(5).named(f"shuffle-{epoch}").permutation(len(samples))
-        for i in range(0, len(samples), 6):
+        order = Rng(5).named(f"shuffle-{epoch}").permutation(len(split))
+        for i in range(0, len(split), 6):
             batches.append((order[i : i + 6], Rng(7).named(f"aug-{epoch}-{i}")))
-    with ViewWorker(samples, cfg, batches) as worker:
+    with ViewWorker(split, cfg, batches) as worker:
         for step, (chosen, rng) in enumerate(batches):
-            want = assemble_batch([samples[i] for i in chosen], cfg, rng).images_aug
+            want = assemble_batch(split, chosen, cfg, rng).images_aug
             got = worker.take()
             assert got.dtype == want.dtype and np.array_equal(got, want), step
 
@@ -123,8 +124,8 @@ def test_runs_with_and_without_worker_are_byte_identical(preset, overrides, monk
     ],
 )
 def test_no_worker_when_no_view_is_built(loss, aug, workers):
-    samples = corpus()
-    fit(tiny_model(samples), samples, loss, aug, TrainConfig(epochs=1, batch_size=4), Rng(1))
+    split = corpus()
+    fit(tiny_model(split), split, loss, aug, TrainConfig(epochs=1, batch_size=4), Rng(1))
     assert workers == []
 
 
@@ -181,15 +182,15 @@ def test_killed_worker_is_a_clear_error_not_a_hang(workers):
 
 
 def test_error_inside_the_worker_is_raised_with_its_type_and_message(workers, monkeypatch):
-    samples = corpus()
-    bad = pixels(samples[3].image)  # a uint8 image holds no NaN
+    split = corpus()
+    bad = pixels(split.images[split.image_of[3]])  # a uint8 image holds no NaN
     bad[0, 0, 0] = np.nan
-    samples[3] = Sample(image=bad, caption=samples[3].caption, identity=samples[3].identity)
+    split = rebuilt(ToySpec(n_identities=6, images_per_identity=2), split, {3: bad})
 
     def run():
         rows = []
         with pytest.raises(ValueError, match="image contains NaN or Inf") as err:
-            fit_reading_views(samples, on_step=rows.append)
+            fit_reading_views(split, on_step=rows.append)
         return rows, err.value
 
     rows, error = run()
@@ -216,12 +217,12 @@ def test_unguarded_script_on_stdin_trains():
 
         if "inline" in sys.argv:
             prefetch.available = lambda: False
-        samples = generate_toy(ToySpec(n_identities=6, images_per_identity=2), Rng(31)).train
+        split = generate_toy(ToySpec(n_identities=6, images_per_identity=2), Rng(31)).train
         cfg = ModelConfig(embed_dim=6, hidden_dim=12, image_layers=2, text_layers=2)
-        model = init_model(dataclasses.replace(cfg, vocab=build_vocab(samples)), Rng(11))
+        model = init_model(dataclasses.replace(cfg, vocab=build_vocab(split)), Rng(11))
         loss = LossConfig(weights={"n_itc": 1.0, "ss_i": 0.3})
         aug = AugmentConfig(image_mode="pool", text_mode="stack")
-        fit(model, samples, loss, aug, TrainConfig(epochs=2, batch_size=4), Rng(1))
+        fit(model, split, loss, aug, TrainConfig(epochs=2, batch_size=4), Rng(1))
         print(model.params["img.out.W"].tobytes().hex())
         """
     )

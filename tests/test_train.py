@@ -7,6 +7,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import rebuilt
 
 from tbpslab import train
 from tbpslab.augment import AugmentConfig, builtin_lexicon, eda, tokenize
@@ -74,13 +75,14 @@ def small_setup(dropout=0.0, seed=5):
         "teal shirt black pants glasses",
         "white shirt brown pants backpack",
     ]
-    from tbpslab.data import Sample
+    from tbpslab.data import Split
 
-    samples = [Sample(image=images[i], caption=captions[i], identity=i % 4) for i in range(5)]
-    vocab = build_vocab(samples)
+    ids = np.arange(5) % 4
+    split = Split(images=images, image_ids=ids, captions=tuple(captions), image_of=np.arange(5), ids=ids)
+    vocab = build_vocab(split)
     cfg = dataclasses.replace(SMALL_MODEL, vocab=vocab, dropout=dropout)
     model = init_model(cfg, Rng(seed + 1))
-    return model, samples
+    return model, split
 
 
 class TestSchedule:
@@ -182,7 +184,7 @@ class TestAdamW:
 class TestAssembleBatch:
     def test_shapes_and_ids(self, rng):
         ds = tiny_corpus()
-        batch = assemble_batch(ds.train[:4], NO_AUG, rng)
+        batch = assemble_batch(ds.train, range(4), NO_AUG, rng)
         assert batch.images.shape == (4, 48, 24, 3)
         assert batch.images_aug.shape == (4, 48, 24, 3)
         assert len(batch.tokens) == len(batch.tokens_aug) == 4
@@ -190,26 +192,26 @@ class TestAssembleBatch:
 
     def test_no_aug_views_identical(self, rng):
         ds = tiny_corpus()
-        batch = assemble_batch(ds.train[:3], NO_AUG, rng)
+        batch = assemble_batch(ds.train, range(3), NO_AUG, rng)
         assert np.array_equal(pixels(batch.images), batch.images_aug)
         assert batch.tokens == batch.tokens_aug
 
     def test_production_aug_changes_views(self):
         ds = tiny_corpus()
-        batch = assemble_batch(ds.train[:3], FULL_AUG, Rng(9))
+        batch = assemble_batch(ds.train, range(3), FULL_AUG, Rng(9))
         assert not np.array_equal(batch.images, batch.images_aug)
 
     def test_deterministic(self):
         ds = tiny_corpus()
-        a = assemble_batch(ds.train[:3], FULL_AUG, Rng(42))
-        b = assemble_batch(ds.train[:3], FULL_AUG, Rng(42))
+        a = assemble_batch(ds.train, range(3), FULL_AUG, Rng(42))
+        b = assemble_batch(ds.train, range(3), FULL_AUG, Rng(42))
         assert np.array_equal(a.images_aug, b.images_aug)
         assert a.tokens_aug == b.tokens_aug
 
     def test_too_small(self, rng):
         ds = tiny_corpus()
         with pytest.raises(BatchTooSmall):
-            assemble_batch(ds.train[:1], NO_AUG, rng)
+            assemble_batch(ds.train, range(1), NO_AUG, rng)
 
     @pytest.mark.parametrize(
         "weights, want_img, want_txt",
@@ -229,8 +231,8 @@ class TestAssembleBatch:
     )
     def test_builds_only_consumed_views(self, weights, want_img, want_txt):
         ds = tiny_corpus()
-        full = assemble_batch(ds.train[:5], FULL_AUG, Rng(4))
-        part = assemble_batch(ds.train[:5], FULL_AUG, Rng(4), loss_cfg=LossConfig(weights=weights))
+        full = assemble_batch(ds.train, range(5), FULL_AUG, Rng(4))
+        part = assemble_batch(ds.train, range(5), FULL_AUG, Rng(4), loss_cfg=LossConfig(weights=weights))
         assert (part.images_aug is not None) == want_img
         assert (part.tokens_aug is not None) == want_txt
         if want_img:
@@ -241,34 +243,34 @@ class TestAssembleBatch:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_eda_text_views_read_the_builtin_lexicon(self, seed):
-        samples = tiny_corpus().train[:6]
-        batch = assemble_batch(samples, AugmentConfig(text_mode="eda"), Rng(seed))
+        split = tiny_corpus().train
+        batch = assemble_batch(split, range(6), AugmentConfig(text_mode="eda"), Rng(seed))
         want = [
-            eda(tokenize(s.caption), builtin_lexicon(), Rng(seed).child(i).named("text"), 0.05)
-            for i, s in enumerate(samples)
+            eda(tokenize(caption), builtin_lexicon(), Rng(seed).child(i).named("text"), 0.05)
+            for i, caption in enumerate(split.captions[:6])
         ]
         assert batch.tokens_aug == want
 
     def test_streams_derived_only_for_built_views(self, rng, monkeypatch):
-        samples = tiny_corpus().train[:5]
+        split, rows = tiny_corpus().train, range(5)
         made = []
         real = Rng.__init__
         monkeypatch.setattr(Rng, "__init__", lambda self, *a: made.append(a) or real(self, *a))
         no_views, image_views = ({"n_itc": 1.0}, {"n_itc": 1.0, "ss_i": 0.3})
-        assemble_batch(samples, FULL_AUG, rng, loss_cfg=LossConfig(weights=no_views))
+        assemble_batch(split, rows, FULL_AUG, rng, loss_cfg=LossConfig(weights=no_views))
         assert made == []
-        assemble_batch(samples, FULL_AUG, rng, loss_cfg=LossConfig(weights=image_views))
-        assert len(made) == 2 * len(samples)  # child(i), then its "image" stream
+        assemble_batch(split, rows, FULL_AUG, rng, loss_cfg=LossConfig(weights=image_views))
+        assert len(made) == 2 * len(rows)  # child(i), then its "image" stream
 
     def test_pretokenized_captions_used(self):
         ds = tiny_corpus()
         given = [["red", "shirt"], ["blue"], ["hat"], ["bag", "red"]]
-        batch = assemble_batch(ds.train[:4], NO_AUG, Rng(8), tokens=given)
+        batch = assemble_batch(ds.train, range(4), NO_AUG, Rng(8), tokens=given)
         assert batch.tokens == given == batch.tokens_aug
 
 
-def synthetic_batch(samples, rng):
-    return assemble_batch(samples, NO_AUG, rng)
+def synthetic_batch(split, rows, rng):
+    return assemble_batch(split, rows, NO_AUG, rng)
 
 
 FULL_STACK = LossConfig(
@@ -289,7 +291,7 @@ WITH_SS_IT = LossConfig(weights={**FULL_STACK.weights, "ss_it": 0.2})
 def assert_inert_grads(model, samples, inert):
     """Freezing `inert` removes exactly its modules' gradients and leaves
     every other one bit-equal."""
-    batch = assemble_batch(samples[:4], AugmentConfig(image_mode="pool", text_mode="stack"), Rng(6))
+    batch = assemble_batch(samples, range(4), AugmentConfig(image_mode="pool", text_mode="stack"), Rng(6))
     _, full, _ = loss_and_grads(model, batch, WITH_SS_IT, Rng(3))
     _, part, _ = loss_and_grads(freeze(clone_model(model), inert), batch, WITH_SS_IT, Rng(3))
     # log_tau's gradient comes from the loss, not the towers: always kept
@@ -304,7 +306,7 @@ class TestStepGradients:
 
     def test_full_stack_fd(self):
         model, samples = small_setup(dropout=0.2)
-        batch = synthetic_batch(samples[:3], Rng(1))
+        batch = synthetic_batch(samples, range(3), Rng(1))
         for cfg in (FULL_STACK, WITH_SS_IT):
             value, grads, terms = loss_and_grads(model, batch, cfg, Rng(77))
             assert set(terms) == set(cfg.weights)
@@ -317,7 +319,7 @@ class TestStepGradients:
     def test_ss_it_is_ss_i_plus_ss_t(self):
         # one weight on both view contrasts equals that weight on each
         model, samples = small_setup(dropout=0.2)
-        batch = assemble_batch(samples[:4], AugmentConfig(image_mode="pool", text_mode="stack"), Rng(6))
+        batch = assemble_batch(samples, range(4), AugmentConfig(image_mode="pool", text_mode="stack"), Rng(6))
         w = 0.6
         v_it, g_it, t_it = loss_and_grads(model, batch, LossConfig(weights={"ss_it": w}), Rng(3))
         v_two, g_two, t_two = loss_and_grads(
@@ -369,7 +371,7 @@ class TestStepGradients:
 
     def test_soft_label_and_diagonal_paths_run(self):
         model, samples = small_setup()
-        batch = synthetic_batch(samples[:4], Rng(2))
+        batch = synthetic_batch(samples, range(4), Rng(2))
         for cfg in (
             LossConfig(weights={"n_itc": 1.0}, soft_label=True),
             LossConfig(weights={"n_itc": 1.0}, diagonal_labels=True),
@@ -386,7 +388,7 @@ class TestStepGradients:
         from tbpslab.losses import LossResult
 
         model, samples = small_setup()
-        batch = synthetic_batch(samples[:3], Rng(2))
+        batch = synthetic_batch(samples, range(3), Rng(2))
 
         def broken_stack(config, terms):
             z = np.zeros((6, model.config.embed_dim))
@@ -399,7 +401,7 @@ class TestStepGradients:
     def test_corrupt_weights_fail_loudly(self):
         # damage upstream of the loss is caught by input validation instead
         model, samples = small_setup()
-        batch = synthetic_batch(samples[:3], Rng(2))
+        batch = synthetic_batch(samples, range(3), Rng(2))
         model.params["img.out.W"][:] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises((NonFiniteLoss, ValueError)):
             loss_and_grads(model, batch, LossConfig(weights={"n_itc": 1.0}), Rng(3))
@@ -412,7 +414,7 @@ class TestTrainStep:
         before = {k: model.params[k].copy() for k in model.params}
         opt = AdamW()
         for i in range(5):
-            batch = synthetic_batch(samples[:4], Rng(10 + i))
+            batch = synthetic_batch(samples, range(4), Rng(10 + i))
             train_step(model, batch, LossConfig(weights={"n_itc": 1.0}), opt, 1e-2, Rng(i))
         for key in ("img.patch.W", "img.patch.b", "txt.embed.W"):
             assert np.array_equal(model.params[key], before[key]), key
@@ -422,7 +424,7 @@ class TestTrainStep:
         # ss_i and ss_it both read the image "both" view; one ss_loss call
         # serves both, and one serves ss_it and ss_t on the text side
         model, samples = small_setup()
-        batch = assemble_batch(samples[:4], FULL_AUG, Rng(6))
+        batch = assemble_batch(samples, range(4), FULL_AUG, Rng(6))
         calls = []
         ss_loss = train.losses.ss_loss
         monkeypatch.setattr(train.losses, "ss_loss", lambda *a: calls.append(a) or ss_loss(*a))
@@ -436,7 +438,7 @@ class TestTrainStep:
         model.params["log_tau"] = np.array(np.log(0.0101))
         opt = AdamW()
         for i in range(60):
-            batch = synthetic_batch(samples[:4], Rng(i))
+            batch = synthetic_batch(samples, range(4), Rng(i))
             stats = train_step(
                 model, batch, LossConfig(weights={"n_itc": 1.0}), opt, 5e-2, Rng(i)
             )
@@ -448,7 +450,7 @@ class TestTrainStep:
             model, samples = small_setup(dropout=0.1)
             opt = AdamW()
             for i in range(5):
-                batch = synthetic_batch(samples[:4], Rng(100 + i))
+                batch = synthetic_batch(samples, range(4), Rng(100 + i))
                 train_step(model, batch, FULL_STACK, opt, 1e-2, Rng(i))
             results.append({k: v.copy() for k, v in model.params.items()})
         for k in results[0]:
@@ -520,16 +522,18 @@ class TestFit:
         ds = tiny_corpus(n_ids=4, images=2)
         model, train_samples = self._model_for(ds)
         fit(model, train_samples, self.LOSS, FULL_AUG, TrainConfig(epochs=3, batch_size=4), Rng(1))
-        assert sorted(calls) == sorted(s.caption for s in train_samples)
+        assert sorted(calls) == sorted(train_samples.captions)
 
     def test_corpus_with_off_grid_images_trains_and_evaluates(self):
         ds = tiny_corpus(n_ids=5, images=2)
-        for split in (ds.train, ds.test):
-            split[0].image = pixels(split[0].image) + 1e-4  # a float64 record among uint8 ones
-        batch = assemble_batch(ds.train[:3], NO_AUG, Rng(2))
-        # the uint8 images of a mixed batch are read as k/255, not as 0..255
+        stored = ds.train.images[ds.train.image_of[:3]]
+        for name in ("train", "test"):  # a float64 record among uint8 ones
+            split = getattr(ds, name)
+            setattr(ds, name, rebuilt(ds.spec, split, {0: pixels(split.images[0]) + 1e-4}))
+        batch = assemble_batch(ds.train, range(3), NO_AUG, Rng(2))
+        # the uint8 images of a mixed table are read as k/255, not as 0..255
         assert batch.images.dtype == np.float64
-        assert batch.images[1:].tobytes() == pixels([s.image for s in ds.train[1:3]]).tobytes()
+        assert batch.images[1:].tobytes() == pixels(stored[1:]).tobytes()
         model, train_samples = self._model_for(ds)
         loss = LossConfig(weights={"n_itc": 1.0, "ss_i": 0.3})  # the worker builds image views
         out = fit(model, train_samples, loss, FULL_AUG, TrainConfig(epochs=1, batch_size=4), Rng(1))
@@ -540,7 +544,7 @@ class TestFit:
         ds = tiny_corpus()
         model, _ = self._model_for(ds)
         with pytest.raises(BatchTooSmall):
-            fit(model, ds.train[:1], self.LOSS, NO_AUG, TrainConfig(), Rng(1))
+            fit(model, ds.train.take([0]), self.LOSS, NO_AUG, TrainConfig(), Rng(1))
 
     @staticmethod
     def _model_for(ds, seed=11):
@@ -559,7 +563,7 @@ class TestParameterAccounting:
         assert n_total - n_trainable == h * h + h
         snapshot = clone_model(model)
         opt = AdamW()
-        batch = synthetic_batch(samples[:3], Rng(0))
+        batch = synthetic_batch(samples, range(3), Rng(0))
         train_step(model, batch, LossConfig(weights={"n_itc": 1.0}), opt, 1e-2, Rng(0))
         assert np.array_equal(model.params["img.hidden.0.W"], snapshot.params["img.hidden.0.W"])
 
@@ -571,7 +575,7 @@ def preset_setup(preset, seed=3):
     ds = build_dataset(exp)
     model = init_model(dataclasses.replace(exp.model, vocab=build_vocab(ds.train)), Rng(seed))
     freeze(model, exp.freeze_modules)
-    batch = assemble_batch(ds.train[:16], exp.augment, Rng(seed + 1), loss_cfg=exp.loss)
+    batch = assemble_batch(ds.train, range(16), exp.augment, Rng(seed + 1), loss_cfg=exp.loss)
     return model, batch, exp.loss
 
 
