@@ -333,7 +333,8 @@ def _encode_image(image: np.ndarray) -> tuple:
 def _read_record(rec: dict, spec: ToySpec, attrs: dict) -> tuple:
     """A record's (image, caption, identity): an identity the header's attrs
     name, a string, and an image of the header's raster, uint8 from a `u8`
-    payload and float64 from `f64`."""
+    payload and float64 from `f64`, whose values must be finite and in
+    [0, 1]."""
     identity, caption = rec["identity"], rec["caption"]
     # bool is an int subclass, and True is neither an identity nor a raster size
     if type(identity) is not int or identity not in attrs:
@@ -345,14 +346,21 @@ def _read_record(rec: dict, spec: ToySpec, attrs: dict) -> tuple:
             raise ValueError(
                 f"image {key} is {rec[key]!r}, but the header's raster is {spec.height}x{spec.width}"
             )
-    raw = base64.b64decode(rec["image_b64"].encode("ascii"))
+    for key in ("image_mode", "image_b64"):
+        if not isinstance(rec[key], str):
+            raise ValueError(f"{key} {rec[key]!r} is not a string")
     mode = rec["image_mode"]
     if mode not in ("u8", "f64"):
         raise ValueError(f"unknown image mode '{mode}'")
+    raw = base64.b64decode(rec["image_b64"].encode("ascii"))
     arr = np.frombuffer(raw, dtype=np.uint8 if mode == "u8" else "<f8")
     expected = spec.height * spec.width * 3
     if arr.size != expected:
         raise ValueError(f"image payload has {arr.size} values, expected {expected}")
+    if mode == "f64":
+        off = arr[~((arr >= 0) & (arr <= 1))]  # NaN fails both comparisons
+        if off.size:
+            raise ValueError(f"f64 image value {float(off[0])!r} is not a pixel value in [0, 1]")
     return arr.reshape(spec.height, spec.width, 3), caption, identity
 
 

@@ -12,6 +12,14 @@ product). Conventions, also printed in every report header:
   mINP       per query, |relevant| divided by the rank of the last
              relevant item (1.0 when the relevant set fills the top
              ranks exactly); averaged over queries
+
+`evaluate_model` encodes the gallery and the queries EVAL_BLOCK rows per
+call and keeps only each block's embeddings, so an evaluation never holds
+the activations of a whole split. A row's embedding does not depend on the
+other rows of its call, so the blocks give the bytes one call would
+(the test suite pins this on the BLAS in use). `rank1_scorer` keeps the
+full activation caches of both towers, because its probes continue from
+them.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ from .model import (
     text_from,
 )
 from .numerics import ShapeMismatch
+
+EVAL_BLOCK = 32  # rows per encode call in evaluate_model
 
 
 class EmptyGallery(ValueError):
@@ -154,12 +164,18 @@ def prepare_split(split) -> tuple:
     return (*unique_images(split), [tokenize(c) for c in split.captions], split.ids)
 
 
+def _embed_blocks(encode, model: Model, items) -> np.ndarray:
+    """The embeddings of `items`, encoded EVAL_BLOCK rows per call; each
+    call's cache is dropped before the next one runs."""
+    return np.vstack([encode(model, items[i : i + EVAL_BLOCK])[0] for i in range(0, len(items), EVAL_BLOCK)])
+
+
 def evaluate_model(model: Model, split) -> RetrievalReport:
     """Caption-to-image retrieval over one split: every caption queries the
-    split's image gallery."""
+    split's image gallery. Both towers run in blocks (`EVAL_BLOCK`)."""
     gallery, gallery_ids, tokens, query_ids = prepare_split(split)
-    g_embed = encode_image(model, gallery)[0]  # its cache goes before the text tower runs
-    q_embed = encode_text(model, tokens)[0]
+    g_embed = _embed_blocks(encode_image, model, gallery)
+    q_embed = _embed_blocks(encode_text, model, tokens)
     return retrieval_metrics(q_embed @ g_embed.T, query_ids, gallery_ids)
 
 

@@ -23,23 +23,36 @@ from .analyze import c1_scores, c2_score, check_series, combined_scores, select_
 from .config import Experiment, fingerprint, materialize, merge
 from .data import ToyDataset, build_vocab, few_shot, generate_toy
 from .evaluate import RetrievalReport, evaluate_model, rank1_scorer
-from .model import Model, clone_model, freeze, init_model, parameter_count, save_checkpoint
+from .model import Model, ModelConfig, freeze, init_model, parameter_count, save_checkpoint
 from .numerics import Rng
 from .train import fit
 
 TEXT_MODULES = "txt.hidden"  # compression candidates live in the text tower
 
 
+def initial_model(model_cfg: ModelConfig, seed: int) -> Model:
+    """A run's model before its first step: drawn from the seed's "init"
+    stream, nothing frozen."""
+    return init_model(model_cfg, Rng(seed).named("init"))
+
+
 @dataclass
 class RunResult:
+    """A finished run. Its initial model is derived, not carried:
+    `model_init` is rebuilt from the trained model's config and the run's
+    seed (`initial_model`) the first time it is read, and kept from then on."""
+
     experiment: Experiment
     dataset: ToyDataset
-    model_init: Model
     model: Model
     history: list
     report: RetrievalReport  # test-split retrieval
     fingerprint: str
     out_dir: str | None = None
+
+    @functools.cached_property
+    def model_init(self) -> Model:
+        return initial_model(self.model.config, self.experiment.seed)
 
 
 def variant(exp: Experiment, *patches: dict) -> Experiment:
@@ -54,25 +67,20 @@ def build_dataset(exp: Experiment) -> ToyDataset:
 def run_training(exp: Experiment, dataset: ToyDataset | None = None, out_dir=None) -> RunResult:
     """Generate (or accept) a corpus, train from scratch, evaluate on the
     held-out identities, and optionally write the run's artifacts."""
-    rng = Rng(exp.seed)
     if dataset is None:
         dataset = build_dataset(exp)
-    vocab = build_vocab(dataset.train)
-    model_cfg = replace(exp.model, vocab=vocab)
-    model = init_model(model_cfg, rng.named("init"))
-    model_init = clone_model(model)
+    model = initial_model(replace(exp.model, vocab=build_vocab(dataset.train)), exp.seed)
     if exp.freeze_modules:
         freeze(model, exp.freeze_modules)
 
     started = time.time()
-    fitres = fit(model, dataset.train, exp.loss, exp.augment, exp.train, rng.named("fit"))
+    fitres = fit(model, dataset.train, exp.loss, exp.augment, exp.train, Rng(exp.seed).named("fit"))
     elapsed = time.time() - started
     report = evaluate_model(model, dataset.test)
     fp = fingerprint(exp.raw)
     result = RunResult(
         experiment=exp,
         dataset=dataset,
-        model_init=model_init,
         model=model,
         history=fitres.history,
         report=report,

@@ -25,8 +25,13 @@ the parameters, the moments and the update stay float64. Given a float64
 model, as the finite-difference checks give it, `loss_and_grads` is the
 float64 computation.
 
-When a run builds augmented image views, `fit` has a worker process
-(`prefetch.ViewWorker`) build them a few steps ahead.
+The image view rule: with image augmentation off (`image_mode` "none")
+an image view is the stored image, so `assemble_batch` hands the batch's
+`images` array itself over as `images_aug` and `loss_and_grads` encodes it
+once, for "orig" and "alt" alike. Each view's rows still get their own
+backward pass on that one cache, so the gradient sums are those of two
+encodes. When a run builds augmented image views, `fit` has a worker
+process (`prefetch.ViewWorker`) build them a few steps ahead.
 """
 
 from __future__ import annotations
@@ -105,7 +110,8 @@ class Schedule:
 class AdamW:
     """Adam with decoupled weight decay. Decay touches weight matrices and
     the embedding table (keys ending in '.W'); biases and the temperature
-    are never decayed."""
+    are never decayed. `step` updates each parameter array in place, so a
+    run holds one set of parameters from its first step to its last."""
 
     beta1: float = 0.9
     beta2: float = 0.999
@@ -132,7 +138,7 @@ class AdamW:
             p = params[key]
             if self.weight_decay and key.endswith(".W"):
                 update = update + lr * self.weight_decay * p
-            params[key] = p - update
+            np.subtract(p, update, out=p)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +174,10 @@ def assemble_batch(
     "image" stream and its text view from the "text" stream, so a view
     does not depend on the rest of the batch. Only the views that
     `loss_cfg`'s active terms consume are built; the others are None.
-    Without a loss config both views are built. `tokens`, when given,
-    are the captions already tokenized; `images_aug`, when given, are the
-    image views already built from the same streams
+    Without a loss config both views are built. With image augmentation
+    off, the image view is `images` itself (the module's view rule).
+    `tokens`, when given, are the captions already tokenized; `images_aug`,
+    when given, are the image views already built from the same streams
     (`prefetch.ViewWorker`).
     """
     if len(rows) < 2:
@@ -182,6 +189,8 @@ def assemble_batch(
     tokens_aug = None
     if not want_img:
         images_aug = None
+    elif aug_cfg.image_mode == "none":
+        images_aug = images
     elif images_aug is None:
         images_aug = augment_image(images, aug_cfg, image_streams(rng, len(rows)))
     if want_txt:
@@ -214,8 +223,10 @@ def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
     Encodes only the views the active terms read, computes each term on the
     views `losses.TERM_VIEWS` names in its modalities' view tables, places
     its gradients on those rows, combines the terms with the configured
-    weights, and backpropagates through each encode call. Dropout streams
-    derive from `rng` by name, so the same rng reproduces the same masks.
+    weights, and backpropagates each view's rows through its encode call
+    (one call serves both image views when they are one array). Dropout
+    streams derive from `rng` by name, so the same rng reproduces the same
+    masks.
     The model's inert modules (`Model.inert_modules`) get no gradient, and
     the backward pass stops below the lowest module that does; every other
     gradient is bit-equal to the full pass.
@@ -230,8 +241,8 @@ def loss_and_grads(model: Model, batch: Batch, loss_cfg: LossConfig, rng: Rng):
     # (embeddings, cache) of each encode call, by view
     img = {"orig": encode_image(model, batch.images)}
     txt = {"orig": encode_text(model, batch.tokens, train=True, rng=rng.named("drop-txt"))}
-    if need_img_alt:
-        img["alt"] = encode_image(model, batch.images_aug)
+    if need_img_alt:  # the stored image as its own view is encoded once
+        img["alt"] = img["orig"] if batch.images_aug is batch.images else encode_image(model, batch.images_aug)
     if need_txt_alt:
         txt["alt"] = encode_text(model, batch.tokens_aug, train=True, rng=rng.named("drop-txt-alt"))
 

@@ -1,6 +1,7 @@
 """End-to-end command-line checks on a micro corpus."""
 
 import csv
+import hashlib
 import json
 import os
 import struct
@@ -8,8 +9,10 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from test_config import LATE_FAILURES
+from test_data import f64_payload
 
 from tbpslab import cli, experiments
 from tbpslab.cli import main
@@ -241,9 +244,13 @@ class TestExitCodes:
             (2, {"identity": 99}, "identity 99 is not a key of the header's attrs"),
             (2, {"identity": "3"}, "identity '3' is not a key of the header's attrs"),
             (2, {"caption": 5}, "caption 5 is not a string"),
+            (2, {"image_b64": 5}, "image_b64 5 is not a string"),
+            (2, {"image_mode": "f64", "image_b64": f64_payload(-5.0)}, "f64 image value -5.0 is not a pixel value"),
+            (2, {"image_mode": "f64", "image_b64": f64_payload(np.nan)}, "f64 image value nan is not a pixel value"),
             (1, {"attrs": {"0": ["red", "blue"]}}, "attrs '0': ['red', 'blue'] is not an identity's"),
         ],
-        ids=["unknown-identity", "string-identity", "int-caption", "two-word-attrs"],
+        ids=["unknown-identity", "string-identity", "int-caption", "int-payload", "negative-f64", "nan-f64",
+             "two-word-attrs"],
     )
     def test_record_the_header_does_not_name_is_runtime_error(self, line, edit, message, tmp_path, capsys):
         data = tmp_path / "corpus.jsonl"
@@ -424,6 +431,24 @@ def test_run_many_trains_each_distinct_job_once(monkeypatch):
     assert results[1] is finished and results[3] is results[0]
     # the done run is not retrained; the same config on another corpus is
     assert trained == [(1, corpus), (0, twin)]
+
+
+# SHA-256 of init.ckpt of the default tbps-clip run at seed 0, recorded
+# when a finished run carried a clone of its initial model
+DEFAULT_INIT_CKPT = "69254a0e4001e6bcfcb2f445be60518cec7b7fc74ae3866513d78c129207307e"
+
+
+def test_initial_model_is_derived_when_first_read(monkeypatch, tmp_path):
+    built = []
+    real = experiments.init_model
+    monkeypatch.setattr(experiments, "init_model", lambda *a: built.append(a) or real(*a))
+    # the epochs do not enter the initial model; tbps-clip freezes img.patch
+    run = experiments.run_training(materialize(resolve(preset="tbps-clip", overrides=["train.epochs=1"])))
+    assert len(built) == 1  # the model that trained; the run holds no second one
+    assert run.model.frozen == {"img.patch"} and run.model_init.frozen == set()
+    assert run.model_init is run.model_init and len(built) == 2  # built on the first read only
+    save_checkpoint(run.model_init, tmp_path / "init.ckpt")
+    assert hashlib.sha256((tmp_path / "init.ckpt").read_bytes()).hexdigest() == DEFAULT_INIT_CKPT
 
 
 def test_fewshot_curve_fails_before_training(monkeypatch):

@@ -44,6 +44,15 @@ PINNED_FILES = {
 }
 
 
+def f64_payload(value, at=None, shape=(48, 24, 3)) -> str:
+    """A record's `f64` image payload: `value` everywhere but the flat
+    positions `at` maps to their own values."""
+    image = np.full(shape, value, dtype="<f8")
+    for i, v in (at or {}).items():
+        image.flat[i] = v
+    return base64.b64encode(image.tobytes()).decode("ascii")
+
+
 @pytest.fixture(scope="module")
 def tiny():
     return generate_toy(TINY, Rng(501))
@@ -375,8 +384,17 @@ class TestSerialization:
             ({"identity": "3"}, "line 3: identity '3' is not a key"),
             ({"identity": True}, "line 3: identity True is not a key"),
             ({"caption": 5}, "line 3: caption 5 is not a string"),
+            ({"image_b64": 5}, "line 3: image_b64 5 is not a string"),
+            ({"image_mode": None}, "line 3: image_mode None is not a string"),
+            ({"image_mode": "f64", "image_b64": f64_payload(-5.0)}, r"line 3: f64 image value -5.0 is not a pixel"),
+            ({"image_mode": "f64", "image_b64": f64_payload(np.nan)}, r"line 3: f64 image value nan is not a pixel"),
+            ({"image_mode": "f64", "image_b64": f64_payload(np.inf)}, r"line 3: f64 image value inf is not a pixel"),
+            ({"image_mode": "f64", "image_b64": f64_payload(0.5, {7: 1.5})}, r"line 3: f64 image value 1.5 is not"),
         ],
-        ids=["unknown-identity", "string-identity", "bool-identity", "int-caption"],
+        ids=[
+            "unknown-identity", "string-identity", "bool-identity", "int-caption", "int-payload", "null-mode",
+            "negative-f64", "nan-f64", "inf-f64", "one-f64-value-above-1",
+        ],
     )
     def test_bad_record_reports_line(self, edit, message, tiny, tmp_path):
         path = tmp_path / "toy.jsonl"
@@ -429,7 +447,8 @@ class TestSerialization:
         image = np.frombuffer(base64.b64decode(first["image_b64"]), dtype=np.uint8)
         for shift in (0.0, 1e-4):
             copy = {**first, "caption": "a copy", "image_mode": "f64"}
-            copy["image_b64"] = base64.b64encode((pixels(image) + shift).astype("<f8").tobytes()).decode()
+            shifted = np.clip(pixels(image) + shift, 0, 1)  # a pixel value stays in [0, 1]
+            copy["image_b64"] = base64.b64encode(shifted.astype("<f8").tobytes()).decode()
             path.write_text("\n".join([*lines[:2], json.dumps(copy), *lines[2:]]) + "\n")
             train = load_jsonl(path).train
             assert train.captions[1] == "a copy"

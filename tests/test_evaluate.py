@@ -1,6 +1,7 @@
 """Retrieval metric tests: a loop-based reference implementation on random
 problems, hand-computed cases, tie handling, and chance-level sanity."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +11,9 @@ from conftest import PINNING
 from tbpslab import evaluate, experiments
 from tbpslab.analyze import interpolate, reset_module
 from tbpslab.config import materialize, resolve
-from tbpslab.data import ToySpec, generate_toy
+from tbpslab.data import ToySpec, build_vocab, generate_toy
 from tbpslab.evaluate import (
+    EVAL_BLOCK,
     EmptyGallery,
     NoPositive,
     RetrievalReport,
@@ -22,7 +24,16 @@ from tbpslab.evaluate import (
     retrieval_metrics,
     unique_images,
 )
-from tbpslab.model import Model, ModelConfig, clone_model, image_chain, init_model, text_chain
+from tbpslab.model import (
+    Model,
+    ModelConfig,
+    clone_model,
+    encode_image,
+    encode_text,
+    image_chain,
+    init_model,
+    text_chain,
+)
 from tbpslab.numerics import Rng, ShapeMismatch
 
 
@@ -212,6 +223,75 @@ class TestGalleryAndModelEval:
         rep = RetrievalReport(1, 1, 1, 1, 1, 4, 4)
         text = "\n".join(rep.lines())
         assert "mINP" in text and "stable ties" in text
+
+
+# evaluate_model's report of the default clip-baseline run at seed 0,
+# recorded when each tower encoded a whole split in one call
+CLIP_BASELINE_SEED0_REPORT = {
+    "rank1": 0.9416666666666667, "rank5": 0.975, "rank10": 1.0,
+    "mAP": 0.9190053580678575, "mINP": 0.8718108974358975, "n_queries": 240, "n_gallery": 120,
+}
+
+
+def default_test_setup(seed=0):
+    """The default clip-baseline corpus and a float64 model of that config
+    at its initialization."""
+    exp = materialize(resolve(preset="clip-baseline", overrides=[f"seed={seed}"]))
+    ds = experiments.build_dataset(exp)
+    return ds, init_model(replace(exp.model, vocab=build_vocab(ds.train)), Rng(seed).named("init"))
+
+
+class TestBlockedEvaluation:
+    """evaluate_model encodes EVAL_BLOCK rows per call. That keeps the bytes
+    of one call only while a row's GEMM result does not depend on the other
+    rows of its call; a BLAS whose kernels do fails here."""
+
+    @pytest.mark.parametrize("split", ["test", "val", "train", "smaller-than-a-block"])
+    def test_blocks_equal_one_call_for_both_towers(self, split):
+        ds, model = default_test_setup(seed=3)
+        part = ds.test.take(range(EVAL_BLOCK // 4)) if split == "smaller-than-a-block" else ds.split(split)
+        gallery, _, tokens, _ = evaluate.prepare_split(part)
+        assert len(tokens) % EVAL_BLOCK and len(gallery) % EVAL_BLOCK  # a short last block on each side
+        for encode, items in ((encode_image, gallery), (encode_text, tokens)):
+            whole = encode(model, items)[0]
+            blocked = evaluate._embed_blocks(encode, model, items)
+            assert blocked.dtype == whole.dtype == np.float64
+            assert blocked.tobytes() == whole.tobytes(), (split, encode.__name__)
+
+    def test_one_encode_call_per_block(self, monkeypatch):
+        ds, model = default_test_setup()
+        calls = []
+        for name in ("encode_image", "encode_text"):
+            original = getattr(evaluate, name)
+
+            def spy(model, items, _name=name, _original=original):
+                calls.append((_name, len(items)))
+                return _original(model, items)
+
+            monkeypatch.setattr(evaluate, name, spy)
+        evaluate_model(model, ds.test)
+        assert calls == [
+            *(("encode_image", EVAL_BLOCK),) * 3, ("encode_image", 24),
+            *(("encode_text", EVAL_BLOCK),) * 7, ("encode_text", 16),
+        ]
+
+    def test_report_of_the_default_clip_baseline_run_at_seed_0(self):
+        exp = materialize(resolve(preset="clip-baseline"))
+        run = experiments.run_training(exp)
+        assert run.report.as_dict() == CLIP_BASELINE_SEED0_REPORT
+
+    def test_traced_peak_stays_below_4_mb(self):
+        # one call per tower peaked at 9.05 MB on this split: float64 patches
+        # and the activations of all 120 images at once
+        ds, model = default_test_setup()
+        evaluate_model(model, ds.test)  # lazy imports and first-call set-up
+        tracemalloc.start()
+        try:
+            evaluate_model(model, ds.test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MB"
 
 
 class TestRank1Rate:

@@ -173,6 +173,28 @@ class TestAdamW:
         assert np.array_equal(params["a.W"], before)
         assert not np.array_equal(params["b.W"], np.array([[3.0]]))
 
+    def test_updates_each_array_in_place(self, rng):
+        # a parameter keeps its array, with the bytes of `p - update` on a new one
+        params = {"x.W": rng.normal(size=(3, 4)), "x.b": rng.normal(size=4), "log_tau": np.array(0.3)}
+        held = dict(params)
+        want = {k: x.copy() for k, x in params.items()}
+        m = {k: np.zeros_like(x) for k, x in params.items()}
+        v = {k: np.zeros_like(x) for k, x in params.items()}
+        opt = AdamW()
+        b1, b2, lr = opt.beta1, opt.beta2, 1e-2
+        for t in range(1, 4):
+            grads = {k: rng.child(t).normal(size=x.shape) for k, x in params.items()}
+            opt.step(params, grads, lr)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                update = lr * (m[k] / (1.0 - b1**t)) / (np.sqrt(v[k] / (1.0 - b2**t)) + opt.eps)
+                if k.endswith(".W"):
+                    update = update + lr * opt.weight_decay * want[k]
+                want[k] = want[k] - update
+            for k, x in params.items():
+                assert x is held[k] and x.tobytes() == want[k].tobytes(), (t, k)
+
     def test_log_tau_not_decayed(self):
         opt = AdamW(weight_decay=10.0)
         params = {"log_tau": np.array(0.5)}
@@ -193,7 +215,7 @@ class TestAssembleBatch:
     def test_no_aug_views_identical(self, rng):
         ds = tiny_corpus()
         batch = assemble_batch(ds.train, range(3), NO_AUG, rng)
-        assert np.array_equal(pixels(batch.images), batch.images_aug)
+        assert batch.images_aug is batch.images
         assert batch.tokens == batch.tokens_aug
 
     def test_production_aug_changes_views(self):
@@ -593,6 +615,63 @@ def float_arrays(cache) -> list:
     for f in dataclasses.fields(cache):
         visit(getattr(cache, f.name))
     return found
+
+
+class TestSharedImageView:
+    """With image augmentation off, the image view is the stored image: one
+    encode serves "orig" and "alt", and every byte is the one a distinct
+    float64 copy of the view gives."""
+
+    @pytest.mark.parametrize("term", ["ss_i", "mvs_i"])
+    @pytest.mark.parametrize("copy", [True, False], ids=["float32-copy", "float64"])
+    def test_equals_a_distinct_float64_view(self, term, copy, monkeypatch):
+        exp = materialize(resolve(preset="clip-baseline", overrides=["data.n_identities=10"]))
+        ds = build_dataset(exp)
+        model = init_model(dataclasses.replace(exp.model, vocab=build_vocab(ds.train)), Rng(3))
+        if copy:
+            model = tower_copy(model)
+        cfg = LossConfig(weights={"n_itc": 1.0, term: 0.5})
+        shared = assemble_batch(ds.train, range(16), exp.augment, Rng(4), loss_cfg=cfg)
+        assert exp.augment.image_mode == "none" and shared.images_aug is shared.images
+        distinct = dataclasses.replace(shared, images_aug=pixels(shared.images))
+        encoded = []
+        real = train.encode_image
+        monkeypatch.setattr(train, "encode_image", lambda m, images: encoded.append(images) or real(m, images))
+        value, grads, terms = loss_and_grads(model, shared, cfg, Rng(9))
+        assert len(encoded) == 1
+        want_value, want_grads, want_terms = loss_and_grads(model, distinct, cfg, Rng(9))
+        assert len(encoded) == 3
+        assert value == want_value and terms == want_terms and set(terms) == {"n_itc", term}
+        assert sorted(grads) == sorted(want_grads)
+        for key, g in want_grads.items():
+            assert grads[key].dtype == g.dtype and grads[key].tobytes() == g.tobytes(), key
+
+    @pytest.mark.parametrize("mode, encodes", [("none", 1), ("pool", 2)])
+    def test_image_encodes_per_step(self, mode, encodes, monkeypatch):
+        calls = []
+        real = train.encode_image
+        monkeypatch.setattr(train, "encode_image", lambda m, images: calls.append(1) or real(m, images))
+        ds = tiny_corpus(n_ids=4, images=2)
+        model, samples = TestFit._model_for(ds)
+        cfg = LossConfig(weights={"n_itc": 1.0, "mvs_i": 0.5})
+        res = fit(model, samples, cfg, AugmentConfig(image_mode=mode), TrainConfig(epochs=2, batch_size=4), Rng(1))
+        assert len(calls) == encodes * len(res.history)
+
+    @pytest.mark.parametrize("copy", [True, False], ids=["float32-copy", "float64"])
+    def test_two_backward_passes_leave_the_cache_unchanged(self, copy):
+        # the two image views' backward passes share one cache
+        model, batch, _ = preset_setup("clip-baseline")
+        if copy:
+            model = tower_copy(model)
+        z, cache = encode_image(model, batch.images)
+        before = [a.copy() for a in float_arrays(cache)]
+        grads = {}
+        backward_image(model, cache, z[:, ::-1].copy(), grads)
+        backward_image(model, cache, z[::-1].copy(), grads)
+        after = float_arrays(cache)
+        assert len(after) == len(before) == 2 + 2 * model.config.image_layers + 2
+        for a, b in zip(after, before, strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestPrecision:
