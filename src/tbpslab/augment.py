@@ -475,14 +475,12 @@ class TrivialChoice:
     magnitude: float
 
 
-def trivial_select(rng: Rng, space: dict | None = None) -> TrivialChoice:
-    """Pick one policy uniformly and one magnitude uniformly from its range."""
-    space = TRIVIAL_SPACE if space is None else space
-    if not space:
-        raise EmptyPool("trivial-augment space is empty")
-    names = sorted(space)
+def trivial_select(rng: Rng) -> TrivialChoice:
+    """Pick one policy of `TRIVIAL_SPACE` uniformly and one magnitude
+    uniformly from its range."""
+    names = sorted(TRIVIAL_SPACE)
     name = names[int(rng.integers(0, len(names)))]
-    lo, hi, build = space[name]
+    lo, hi, build = TRIVIAL_SPACE[name]
     magnitude = float(rng.uniform(lo, hi))
     params, probability = build(magnitude)
     return TrivialChoice(AugPolicy(name, params, probability), magnitude)

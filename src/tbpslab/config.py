@@ -23,7 +23,7 @@ from .augment import AugmentConfig
 from .data import ToySpec
 from .losses import LossConfig, UnknownTerm
 from .model import ModelConfig, module_of, param_table
-from .schema import ConfigError, load
+from .schema import ConfigError, check, load
 from .train import TrainConfig
 
 
@@ -209,13 +209,17 @@ def materialize(config: dict) -> Experiment:
             ModelConfig, config["model"], "model",
             image_height=data.height, image_width=data.width, vocab=(),
         )
-        weights = {k: float(v) for k, v in config["loss"]["weights"].items()}
-        loss = load(LossConfig, config["loss"], "loss", weights=weights)
+        weights = config["loss"]["weights"]
+        check("loss.weights", "dict", weights)
+        for term, weight in weights.items():
+            check(f"loss.weights.{term}", "float", weight)
+        loss = load(LossConfig, config["loss"], "loss", weights={k: float(v) for k, v in weights.items()})
         augment = load(AugmentConfig, config["augment"], "augment", image_pool=AugmentConfig.image_pool)
         train = load(TrainConfig, config["train"], "train")
         seed = config["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+        check("freeze_modules", "tuple", config["freeze_modules"])
         freeze_modules = tuple(config["freeze_modules"])
         modules = {module_of(key) for key in param_table(model)}
         for name in freeze_modules:

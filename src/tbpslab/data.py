@@ -21,16 +21,18 @@ Each split is two tables in generation order (`Split`): its distinct
 images with their identities, and its captions, each with its image's row
 and identity; a training example or a query is one caption with its image.
 Which captions share an image is decided once, by `SplitBuilder`, for
-`generate_toy` and `load_jsonl` alike. Images are stored as the uint8
-values they are rendered as, where k means the pixel value k/255, and read
-as numbers only where a tower or an augmentation reads them
-(`numerics.pixels`); a split's image table is float64 in [0, 1] instead
+`generate_toy` and `load_jsonl` alike; a caption's tokens are derived once,
+by its split (`Split.tokens`), the one place a caption is tokenized. Images
+are stored as the uint8 values they are rendered as, where k means the pixel
+value k/255, and read as numbers only where a tower or an augmentation reads
+them (`numerics.pixels`); a split's image table is float64 in [0, 1] instead
 when some loaded image is off the grid.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
 from dataclasses import asdict, dataclass, replace
 
@@ -159,6 +161,11 @@ class Split:
             arrays = (s.images, s.image_ids, s.image_of, s.ids)
             return s.captions, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
         return isinstance(other, Split) and tables(self) == tables(other)
+
+    @functools.cached_property
+    def tokens(self) -> tuple:
+        """(N,) each caption's `tokenize` output as a tuple, derived on first read."""
+        return tuple(tuple(tokenize(c)) for c in self.captions)
 
     def take(self, rows) -> Split:
         """The captions at `rows`, in that order, over the same image table."""
@@ -298,20 +305,17 @@ def generate_toy(spec: ToySpec, rng: Rng) -> ToyDataset:
 # oracle matcher
 
 
-def caption_attribute_words(caption: str) -> frozenset:
-    return frozenset(tokenize(caption)) & ATTRIBUTE_WORDS
-
-
 def oracle_rank1(split, attrs) -> float:
-    """Bag-of-words retrieval over attribute words: each caption queries the
-    split's image table, scored by attribute-bag overlap with the image
-    identity's bag, ties broken by row order. Returns the fraction of
+    """Bag-of-words retrieval over attribute words: each caption's tokens
+    query the split's image table, scored by attribute-bag overlap with the
+    image identity's bag, ties broken by row order. Returns the fraction of
     queries whose top image shares their identity (1.0 by design)."""
     if not len(split):
         raise ValueError("no captions")
     gallery = [attrs[i].words for i in split.image_ids.tolist()]
+    queries = [frozenset(tokens) & ATTRIBUTE_WORDS for tokens in split.tokens]
     # first maximum: row-order tie break
-    top = [int(np.argmax([len(caption_attribute_words(c) & g) for g in gallery])) for c in split.captions]
+    top = [int(np.argmax([len(q & g) for g in gallery])) for q in queries]
     return float(np.mean(split.image_ids[top] == split.ids))
 
 
@@ -438,10 +442,7 @@ def load_jsonl(path) -> ToyDataset:
 def build_vocab(split) -> tuple:
     """Sorted unique tokens of a split's captions. Train-split captions
     only; unseen words map to the unknown bucket at encode time."""
-    words = set()
-    for caption in split.captions:
-        words.update(tokenize(caption))
-    return tuple(sorted(words))
+    return tuple(sorted({word for tokens in split.tokens for word in tokens}))
 
 
 def few_shot(split: Split, fraction: float, rng: Rng) -> Split:

@@ -1,9 +1,10 @@
 """Text-to-image retrieval metrics.
 
-Queries are a split's captions, the gallery is its images (`unique_images`),
-and a gallery item is relevant to a query when their identities match. Scores
-are cosine similarities (embeddings arrive L2-normalized, so a plain dot
-product). Conventions, also printed in every report header:
+Queries are a split's captions, read as its tokens (`Split.tokens`), the
+gallery is its images (`unique_images`), and a gallery item is relevant to a
+query when their identities match. Scores are cosine similarities
+(embeddings arrive L2-normalized, so a plain dot product). Conventions, also
+printed in every report header:
 
   ranking    descending score; equal scores keep ascending gallery order
   Rank-k     fraction of queries with a relevant item in the top k
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import tokenize
 from .model import (
     Model,
     clone_model,
@@ -159,11 +159,6 @@ def unique_images(split) -> tuple:
     return split.images[rows], split.image_ids[rows]
 
 
-def prepare_split(split) -> tuple:
-    """(gallery, gallery identities, query tokens, query identities) of a split."""
-    return (*unique_images(split), [tokenize(c) for c in split.captions], split.ids)
-
-
 def _embed_blocks(encode, model: Model, items) -> np.ndarray:
     """The embeddings of `items`, encoded EVAL_BLOCK rows per call; each
     call's cache is dropped before the next one runs."""
@@ -173,17 +168,17 @@ def _embed_blocks(encode, model: Model, items) -> np.ndarray:
 def evaluate_model(model: Model, split) -> RetrievalReport:
     """Caption-to-image retrieval over one split: every caption queries the
     split's image gallery. Both towers run in blocks (`EVAL_BLOCK`)."""
-    gallery, gallery_ids, tokens, query_ids = prepare_split(split)
+    gallery, gallery_ids = unique_images(split)
     g_embed = _embed_blocks(encode_image, model, gallery)
-    q_embed = _embed_blocks(encode_text, model, tokens)
-    return retrieval_metrics(q_embed @ g_embed.T, query_ids, gallery_ids)
+    q_embed = _embed_blocks(encode_text, model, split.tokens)
+    return retrieval_metrics(q_embed @ g_embed.T, split.ids, gallery_ids)
 
 
 def rank1_scorer(reference: Model, split):
     """A function mapping a model to its Rank-1 on `split`, equal to
     `evaluate_model(model, split).rank1`.
 
-    The split is prepared and both towers of `reference` are encoded once,
+    Both towers of `reference` are encoded once over the split,
     keeping every activation of the two passes. A probe with the
     reference's config recomputes each tower only from the lowest module
     whose tensors differ from the reference (`image_from`, `text_from`),
@@ -193,13 +188,13 @@ def rank1_scorer(reference: Model, split):
     later edits to it cannot stale them.
     """
     reference = clone_model(reference)
-    gallery, gallery_ids, tokens, query_ids = prepare_split(split)
-    orphans = np.flatnonzero(~np.isin(query_ids, gallery_ids))
+    gallery, gallery_ids = unique_images(split)
+    orphans = np.flatnonzero(~np.isin(split.ids, gallery_ids))
     if len(orphans):
         qi = int(orphans[0])
-        raise NoPositive(f"query {qi} (identity {query_ids[qi]}) has no relevant gallery item")
+        raise NoPositive(f"query {qi} (identity {split.ids[qi]}) has no relevant gallery item")
     ref_g, g_cache = encode_image(reference, gallery)
-    ref_q, q_cache = encode_text(reference, tokens)
+    ref_q, q_cache = encode_text(reference, split.tokens)
     chains = {
         tower: [reference.module_keys(m) for m in chain]
         for tower, chain in (("img", image_chain(reference.config)), ("txt", text_chain(reference.config)))
@@ -216,12 +211,12 @@ def rank1_scorer(reference: Model, split):
     def score(model: Model) -> float:
         if model.config != reference.config or model.params.keys() != reference.params.keys():
             g_embed = encode_image(model, gallery)[0]
-            q_embed = encode_text(model, tokens)[0]
+            q_embed = encode_text(model, split.tokens)[0]
         else:
             start = first_change(model, "img")
             g_embed = ref_g if start is None else image_from(model, g_cache, start)[0]
             start = first_change(model, "txt")
             q_embed = ref_q if start is None else text_from(model, q_cache, start)[0]
-        return rank1_rate(q_embed @ g_embed.T, query_ids, gallery_ids)
+        return rank1_rate(q_embed @ g_embed.T, split.ids, gallery_ids)
 
     return score

@@ -48,7 +48,6 @@ class RunResult:
     history: list
     report: RetrievalReport  # test-split retrieval
     fingerprint: str
-    out_dir: str | None = None
 
     @functools.cached_property
     def model_init(self) -> Model:
@@ -87,7 +86,6 @@ def run_training(exp: Experiment, dataset: ToyDataset | None = None, out_dir=Non
         fingerprint=fp,
     )
     if out_dir is not None:
-        result.out_dir = str(out_dir)
         _write_run_artifacts(result, out_dir, elapsed)
     return result
 
@@ -108,15 +106,13 @@ def run_many(jobs, done=()) -> list:
     return results
 
 
-def write_csv(rows, path, fp, seed, columns=None):
+def write_csv(rows, path, fp, seed):
     """One table or history file: a `# config=... seed=...` line, a header,
     then one row per dict. Floats are written with repr, so they round-trip
-    exactly. Columns default to the first row's keys, in order."""
-    if columns is None:
-        columns = list(rows[0])
+    exactly. The columns are the first row's keys, in order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config={fp} seed={seed}\n")
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow({k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()})
@@ -253,9 +249,8 @@ def fewshot_curve(exp: Experiment, fractions=FEWSHOT_FRACTIONS, dataset=None, do
 def contribution_table(run: RunResult, modules=None) -> list:
     """Per-module reset damage and interpolation steepness, evaluated on
     the validation identities. C1 is normalized over `modules`, by default
-    every module but the temperature. Each probe is scored by Rank-1
-    against the trained model's prepared validation split, re-encoding
-    only the tower the probe changed."""
+    every module but the temperature. Each probe is scored by Rank-1 on
+    the validation split, re-encoding only the tower the probe changed."""
     metric = rank1_scorer(run.model, run.dataset.val)
     if modules is None:
         modules = [m for m in run.model.module_names() if m != "log_tau"]

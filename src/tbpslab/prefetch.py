@@ -32,7 +32,6 @@ from .augment import augment_image
 from .numerics import Rng
 
 LOOKAHEAD = 2  # steps built ahead of the one training, one buffer slot each
-POLL_S = 1.0  # how often a wait for the worker checks that it still runs
 STOP_TIMEOUT_S = 10.0  # a worker that has not exited by then is killed
 
 
@@ -145,10 +144,12 @@ class ViewWorker:
             raise self._died() from None
 
     def _receive(self):
+        """The worker's next reply; its death, after any reply, is reported at once."""
+        from multiprocessing.connection import wait  # imported here, as in `__init__`
         try:
-            while not self._conn.poll(POLL_S):
-                if not self._proc.is_alive():
-                    raise self._died()
+            wait([self._conn, self._proc.sentinel])
+            if not self._conn.poll():
+                raise self._died()
             return self._conn.recv()
         except (EOFError, OSError):
             raise self._died() from None

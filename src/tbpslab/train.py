@@ -31,7 +31,8 @@ an image view is the stored image, so `assemble_batch` hands the batch's
 once, for "orig" and "alt" alike. Each view's rows still get their own
 backward pass on that one cache, so the gradient sums are those of two
 encodes. When a run builds augmented image views, `fit` has a worker
-process (`prefetch.ViewWorker`) build them a few steps ahead.
+process (`prefetch.ViewWorker`) build them a few steps ahead. Captions
+arrive tokenized, by their split (`data.Split.tokens`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses, prefetch
-from .augment import AugmentConfig, augment_image, augment_text, tokenize
+from .augment import AugmentConfig, augment_image, augment_text
 from .losses import LossConfig, LossResult
 from .model import Model, backward_image, backward_text, encode_image, encode_text, module_of
 from .numerics import Rng, softmax_rows
@@ -165,25 +166,23 @@ def views_needed(loss_cfg: LossConfig | None) -> tuple:
 
 
 def assemble_batch(
-    split, rows, aug_cfg: AugmentConfig, rng: Rng, loss_cfg: LossConfig | None = None, tokens=None,
-    images_aug=None,
+    split, rows, aug_cfg: AugmentConfig, rng: Rng, loss_cfg: LossConfig | None = None, images_aug=None,
 ) -> Batch:
     """The batch of the captions at `rows` of `split`, with augmented views.
 
-    Sample i draws from `rng.child(i)`, its image view from the child's
-    "image" stream and its text view from the "text" stream, so a view
-    does not depend on the rest of the batch. Only the views that
-    `loss_cfg`'s active terms consume are built; the others are None.
-    Without a loss config both views are built. With image augmentation
-    off, the image view is `images` itself (the module's view rule).
-    `tokens`, when given, are the captions already tokenized; `images_aug`,
-    when given, are the image views already built from the same streams
+    The captions' tokens are the split's (`data.Split.tokens`). Sample i
+    draws from `rng.child(i)`, its image view from the child's "image"
+    stream and its text view from the "text" stream, so a view does not
+    depend on the rest of the batch. Only the views that `loss_cfg`'s
+    active terms consume are built; the others are None. Without a loss
+    config both views are built. With image augmentation off, the image
+    view is `images` itself (the module's view rule). `images_aug`, when
+    given, are the image views already built from the same streams
     (`prefetch.ViewWorker`).
     """
     if len(rows) < 2:
         raise BatchTooSmall(f"need at least 2 samples, got {len(rows)}")
-    if tokens is None:
-        tokens = [tokenize(split.captions[i]) for i in rows]
+    tokens = [list(split.tokens[i]) for i in rows]
     want_img, want_txt = views_needed(loss_cfg)
     images = split.images[split.image_of[rows]]
     tokens_aug = None
@@ -200,7 +199,7 @@ def assemble_batch(
     return Batch(
         images=images,
         images_aug=images_aug,
-        tokens=list(tokens),
+        tokens=tokens,
         tokens_aug=tokens_aug,
         ids=split.ids[rows],
     )
@@ -419,7 +418,6 @@ def fit(
         for bi in range(steps_per_epoch):
             chosen = order[bi * tcfg.batch_size : (bi + 1) * tcfg.batch_size]
             plan.append((epoch, bi, chosen, rng.named(f"aug-{epoch}-{bi}")))
-    captions = [tokenize(c) for c in split.captions]
     history = []
     ahead = views_needed(loss_cfg)[0] and aug_cfg.image_mode != "none" and prefetch.available()
     with (
@@ -427,10 +425,8 @@ def fit(
         if ahead else nullcontext()
     ) as worker:
         for step, (epoch, bi, chosen, aug_rng) in enumerate(plan):
-            batch = assemble_batch(
-                split, chosen, aug_cfg, aug_rng, loss_cfg=loss_cfg, tokens=[captions[i] for i in chosen],
-                images_aug=None if worker is None else worker.take(),
-            )
+            views = None if worker is None else worker.take()
+            batch = assemble_batch(split, chosen, aug_cfg, aug_rng, loss_cfg=loss_cfg, images_aug=views)
             lr = schedule.lr_at(step)
             stats = train_step(
                 model, batch, loss_cfg, optimizer, lr, rng.named(f"step-{epoch}-{bi}")

@@ -1,6 +1,7 @@
 """Configuration layering, override parsing, materialization, and the
 dataclass-derived schema shared with the checkpoint and corpus headers."""
 
+import re
 from dataclasses import asdict, fields
 from types import SimpleNamespace
 
@@ -28,11 +29,23 @@ from tbpslab.model import ModelConfig, init_model, load_checkpoint, save_checkpo
 from tbpslab.numerics import Rng
 from tbpslab.schema import load
 
+# values of the wrong shape for their key: a scalar where a list or a
+# mapping belongs, a loss weight that is not a number
+WRONG_SHAPES = [
+    "loss.weights=3",
+    "augment.text_ops=random_swap",
+    "freeze_modules=img.patch",
+    "model.dropped_text_layers=1",
+    "data.split_fractions=0.5",
+    "loss.weights.n_itc=abc",
+    "loss.weights.n_itc=true",
+]
+
 # values each component accepted while a run used them wrongly or failed
 # only inside training: the schedule, a negative decay or loss weight, a
 # zero r_itc floor, an unknown or repeated frozen module, a repeated
 # dropped layer, a NaN or infinite rate, temperature or floor, a count
-# that is not an integer
+# that is not an integer, and the values of the wrong shape above
 LATE_FAILURES = [
     "train.warmup_frac=2",
     "train.lr_peak=-1",
@@ -55,6 +68,7 @@ LATE_FAILURES = [
     "data.n_identities=10.5",
     "data.captions_per_image=1.5",
     "model.image_layers=true",
+    *WRONG_SHAPES,
 ]
 
 
@@ -183,6 +197,12 @@ class TestValidation:
     @pytest.mark.parametrize("override", LATE_FAILURES)
     def test_values_that_used_to_fail_in_training_rejected_at_config_time(self, override):
         with pytest.raises(ConfigError):
+            resolve(overrides=[override])
+
+    @pytest.mark.parametrize("override", WRONG_SHAPES)
+    def test_value_of_the_wrong_shape_named_by_its_key(self, override):
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=f"'{re.escape(key)}' must be"):
             resolve(overrides=[override])
 
     def test_weight_for_unknown_term_rejected(self):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import rebuilt
 
+from tbpslab import data
 from tbpslab.augment import tokenize
 from tbpslab.data import (
     ACCESSORIES,
@@ -23,7 +24,6 @@ from tbpslab.data import (
     SplitBuilder,
     ToySpec,
     build_vocab,
-    caption_attribute_words,
     few_shot,
     generate_toy,
     identity_capacity,
@@ -111,7 +111,7 @@ class TestGeneration:
         for name in SPLITS:
             split = tiny.split(name)
             for caption, identity in zip(split.captions, split.ids.tolist()):
-                assert caption_attribute_words(caption) == tiny.attrs[identity].words
+                assert frozenset(tokenize(caption)) & ATTRIBUTE_WORDS == tiny.attrs[identity].words
 
     def test_caption_bag_has_five_words(self, tiny):
         for identity in tiny.train.ids.tolist():
@@ -238,6 +238,18 @@ class TestTables:
         assert part.image_of.tolist() == tiny.train.image_of[[3, 1]].tolist()
         assert part.ids.tolist() == tiny.train.ids[[3, 1]].tolist()
 
+    def test_tokens_derived_once_by_the_split(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(data, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        split = generate_toy(TINY, Rng(501)).train
+        assert calls == []  # building a split tokenizes nothing
+        assert split.tokens == tuple(tuple(tokenize(c)) for c in split.captions)
+        assert split.tokens is split.tokens and calls == list(split.captions)
+        # a taken subset derives its own; tokens take no part in equality
+        part = split.take([3, 1])
+        assert part.tokens == (split.tokens[3], split.tokens[1])
+        assert split == generate_toy(TINY, Rng(501)).train
+
 
 class TestOracle:
     def test_rank1_is_perfect_everywhere(self, tiny):
@@ -262,6 +274,13 @@ class TestOracle:
     def test_empty_rejected(self, tiny):
         with pytest.raises(ValueError):
             oracle_rank1(tiny.train.take([]), tiny.attrs)
+
+    def test_each_caption_tokenized_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(data, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        ds = generate_toy(TINY, Rng(501))
+        oracle_rank1(ds.test, ds.attrs)
+        assert sorted(calls) == sorted(ds.test.captions)
 
 
 class TestSerialization:

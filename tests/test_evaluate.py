@@ -250,7 +250,7 @@ class TestBlockedEvaluation:
     def test_blocks_equal_one_call_for_both_towers(self, split):
         ds, model = default_test_setup(seed=3)
         part = ds.test.take(range(EVAL_BLOCK // 4)) if split == "smaller-than-a-block" else ds.split(split)
-        gallery, _, tokens, _ = evaluate.prepare_split(part)
+        (gallery, _), tokens = evaluate.unique_images(part), part.tokens
         assert len(tokens) % EVAL_BLOCK and len(gallery) % EVAL_BLOCK  # a short last block on each side
         for encode, items in ((encode_image, gallery), (encode_text, tokens)):
             whole = encode(model, items)[0]

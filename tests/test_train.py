@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import rebuilt
 
-from tbpslab import train
+from tbpslab import data, train
 from tbpslab.augment import AugmentConfig, builtin_lexicon, eda, tokenize
 from tbpslab.config import materialize, resolve
 from tbpslab.data import ToySpec, build_vocab, generate_toy
@@ -284,12 +284,6 @@ class TestAssembleBatch:
         assemble_batch(split, rows, FULL_AUG, rng, loss_cfg=LossConfig(weights=image_views))
         assert len(made) == 2 * len(rows)  # child(i), then its "image" stream
 
-    def test_pretokenized_captions_used(self):
-        ds = tiny_corpus()
-        given = [["red", "shirt"], ["blue"], ["hat"], ["bag", "red"]]
-        batch = assemble_batch(ds.train, range(4), NO_AUG, Rng(8), tokens=given)
-        assert batch.tokens == given == batch.tokens_aug
-
 
 def synthetic_batch(split, rows, rng):
     return assemble_batch(split, rows, NO_AUG, rng)
@@ -538,13 +532,16 @@ class TestFit:
         assert rows == out.history
         assert len(rows) >= 1
 
-    def test_captions_tokenized_once_per_run(self, monkeypatch):
+    def test_captions_tokenized_once_by_their_split(self, monkeypatch):
+        # the vocabulary, two runs and an evaluation read each split's tokens
         calls = []
-        monkeypatch.setattr(train, "tokenize", lambda text: calls.append(text) or text.split())
-        ds = tiny_corpus(n_ids=4, images=2)
-        model, train_samples = self._model_for(ds)
-        fit(model, train_samples, self.LOSS, FULL_AUG, TrainConfig(epochs=3, batch_size=4), Rng(1))
-        assert sorted(calls) == sorted(train_samples.captions)
+        monkeypatch.setattr(data, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        ds = tiny_corpus(n_ids=6, images=2)
+        for seed in (1, 2):
+            model, train_samples = self._model_for(ds)
+            fit(model, train_samples, self.LOSS, FULL_AUG, TrainConfig(epochs=2, batch_size=4), Rng(seed))
+        evaluate_model(model, ds.test)
+        assert sorted(calls) == sorted(ds.train.captions + ds.test.captions)
 
     def test_corpus_with_off_grid_images_trains_and_evaluates(self):
         ds = tiny_corpus(n_ids=5, images=2)
